@@ -6,10 +6,13 @@ import (
 	"go/types"
 )
 
-// transportPkgs are the packages whose locking discipline DESIGN.md §7
-// and §12 document: the action mutex mu is outermost, the mailbox mutex
-// mbMu next, and the injector mutex injMu innermost.
+// transportPkgs are the packages bound by the locking discipline
+// DESIGN.md §7 documents: the action mutex mu is outermost, the mailbox
+// mutex mbMu next, and the injector mutex injMu innermost. The node
+// engine owns all three; the UDP and TCP movers stay in scope because
+// their Send and Flush run inside the engine's atomic sections.
 var transportPkgs = []string{
+	"internal/transport/engine",
 	"internal/transport/udp",
 	"internal/transport/tcp",
 }
@@ -18,13 +21,13 @@ var transportPkgs = []string{
 // increasing rank; unranked mutexes (gmu, connMu, ...) are out of scope.
 var lockRank = map[string]int{"mu": 1, "mbMu": 2, "injMu": 3}
 
-// LockOrder enforces the transports' documented mu → mbMu → injMu
+// LockOrder enforces the node engine's documented mu → mbMu → injMu
 // acquisition order, rejects re-acquisition of a held rank, and forbids
 // taking any ranked mutex inside an atomic-section callback (a func
 // literal handed to a Do method, which already runs under mu).
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "enforce the documented mu → mbMu → injMu lock order in the socket transports",
+	Doc:  "enforce the documented mu → mbMu → injMu lock order in the transport node engine",
 	Run:  runLockOrder,
 }
 

@@ -53,8 +53,8 @@ type TransportStats struct {
 	// where the transport cannot observe the syscall boundary.
 	SendSyscalls int64
 	RecvSyscalls int64
-	// Links holds per-link detail when the transport tracks it (TCP);
-	// nil when only node-level counters exist.
+	// Links holds per-link detail when the transport tracks it (UDP and
+	// TCP); nil on the in-memory substrates.
 	Links []LinkStats
 	// Faults counts the faults injected at this node's mailbox boundary
 	// by an installed FaultPlan; zero without one.

@@ -1,81 +1,27 @@
-// Package tcp runs protocol stacks over persistent TCP connections — the
-// multi-host deployment substrate. Where the UDP transport demonstrates
-// the paper's model on raw datagrams, this transport is the serving
-// layer: nodes on different machines dial each other, stream
-// length-prefixed wire frames, and survive connection loss with
-// exponential-backoff redial, so a snapd fleet can span real hosts.
+// Package tcp is the stream mover under the shared node engine
+// (internal/transport/engine, DESIGN.md §7, §12): it runs protocol stacks
+// over persistent TCP connections — the multi-host deployment substrate
+// a snapd fleet spans real hosts with.
 //
-// # Channel semantics on TCP
+// TCP is reliable per connection, but the model's channels are lossy
+// with a known capacity bound, so the transport restores both at its
+// edges: each directed link is one connection fed through a bounded
+// outbound queue (a send finding it full, or caught by a dead
+// connection, is lost at the sender as core.EvSendLost), and the
+// engine's bounded mailboxes apply lose-on-full at the receiver.
+// Connection loss is therefore just message loss, which the
+// retransmitting protocols tolerate by design.
 //
-// TCP provides reliable in-order delivery per connection — but the
-// model's channels are lossy with a KNOWN capacity bound, and the
-// transport deliberately restores both properties at its edges:
-//
-//   - each directed link (p -> q) is one connection dialed by p, fed
-//     through a bounded outbound queue; a send finding the queue full is
-//     dropped at the sender (core.EvSendLost), and a send caught by a
-//     dead or timed-out connection is dropped in transit;
-//   - each (group, sender, instance) triple gets a bounded mailbox at
-//     the receiver; a frame arriving at a full mailbox is dropped
-//     (lose-on-full, the model's rule) and reported as core.EvLose;
-//   - AssumedCapacity reports the bound a protocol stack should declare
-//     (the handshake flag domain grows linearly in it, and must stay
-//     within the wire format's one-byte flag fields).
-//
-// Connection loss is therefore just message loss, which the protocols
-// tolerate by design: the retransmitting action A2 keeps fresh copies
-// coming while the writer redials, and snap-stabilization holds across a
-// peer's crash and restart without any connection-level recovery
-// protocol.
-//
-// # Wire framing and groups
-//
-// Every frame on a connection is a 4-byte big-endian length prefix
-// followed by one wire-encoded unit. The default group (group 0) streams
-// bare wire v1/v2 frames, byte-compatible with peers that predate the v3
-// batch format; any other group wraps each message in a wire v3 batch
-// frame (count 1) whose uvarint group id routes it at the receiver. A
-// Node hosts one or more groups — independent protocol stacks with their
-// own routes, observers, topology, and fault plan — over one listener
-// and one set of connections; the legacy constructor installs its stack
-// as group 0 and Mux attaches further clusters with fresh ids (mux.go).
-//
-// # Amortized socket IO
-//
-// Writers coalesce: when a writer wakes it drains every frame already
-// queued on its link and hands them to the kernel as one vectored write
-// (writev via net.Buffers), so a retransmission burst costs one syscall,
-// not one per message. Readers amortize symmetrically through a buffered
-// reader sized to pull many frames per socket read. Stats separates
-// message counts from frame and syscall counts so the amortization is
-// observable.
-//
-// # Dial/accept lifecycle
-//
-// Each node listens on one TCP address and runs one writer goroutine per
-// outgoing link. The writer owns the link's connection: it dials with
-// exponential backoff (jitter-free, bounded), identifies itself with a
-// hello frame, streams frames, and on any write error closes the
-// connection and redials. The accept loop spawns one reader per inbound
-// connection; the reader validates the hello (peer index, topology edge,
-// and — when the peer's address is configured — the source host) and
-// then moves frames into the bounded mailboxes. A peer restart simply
-// kills both directions: the reader sees EOF and exits, the writer's
-// next write fails and it redials until the new process accepts.
-//
-// # Concurrency structure
-//
-// The action mutex / mailbox lock split of the UDP transport (DESIGN.md
-// §7) carries over: readers append under the mailbox lock and signal a
-// wakeup; the activation loop swaps the mailbox map and delivers —
-// running any resulting sends — under the action mutex only. Sends
-// enqueue encoded frames and never block: a blocking socket write can
-// only stall its own link's writer goroutine, never a protocol action.
-//
-// The fault plane acts per logical message at the mailbox boundary:
-// every decoded message passes its group's injector individually, so §9
-// semantics are independent of connection framing, and each group's
-// injector stream is isolated from its siblings on the shared sockets.
+// Every frame is a 4-byte big-endian length prefix and one wire unit:
+// bare wire v1/v2 for the default group (byte-compatible with pre-v3
+// peers), a count-1 v3 batch frame for any other group. Each outgoing
+// link has a writer goroutine that owns its connection — dial with
+// bounded exponential backoff, identify with a hello frame, drain the
+// queue into one vectored write per wake-up, redial on any error — and
+// each accepted connection a reader that validates the hello (peer
+// index, topology edge, configured source host) and hands frames to the
+// engine. Sends only encode and enqueue, so a blocking socket write
+// stalls only its own link's writer, never a protocol action.
 package tcp
 
 import (
@@ -90,7 +36,7 @@ import (
 	"time"
 
 	"github.com/snapstab/snapstab/internal/core"
-	"github.com/snapstab/snapstab/internal/rng"
+	"github.com/snapstab/snapstab/internal/transport/engine"
 	"github.com/snapstab/snapstab/internal/wire"
 )
 
@@ -109,9 +55,27 @@ const DefaultAssumedCapacity = 64
 // is a protocol error and closes the connection.
 const maxFrame = 2*wire.MaxBlobLen + 8<<10
 
-// sendVecCap is the default bound on how many queued frames one
-// vectored write carries (see WithBatch).
-const sendVecCap = 32
+// Fixed node parameters.
+const (
+	// sendVecCap is the default bound on how many queued frames one
+	// vectored write carries (see WithBatch).
+	sendVecCap = 32
+	// mailboxSlots bounds every (group, sender, instance) mailbox.
+	mailboxSlots = 8
+	// sendQueue is the per-link outbound queue length. A send finding
+	// the queue full — a dead link under retransmission, a backlogged
+	// connection — is dropped at the sender, the bounded-capacity rule
+	// applied to the transport's own buffering.
+	sendQueue = 32
+	// writeTimeout bounds every connect and frame write. A write that
+	// cannot complete within it is treated as a lost message and a lost
+	// connection.
+	writeTimeout = 2 * time.Second
+	// The default redial backoff: the first redial after a connection
+	// loss waits dialMin, doubling up to dialMax.
+	dialMin = 25 * time.Millisecond
+	dialMax = time.Second
+)
 
 // helloInstance marks the identification frame that opens every dialed
 // connection: a regular wire message whose B.Num carries the dialer's
@@ -122,177 +86,37 @@ const helloInstance = "tcp/hello"
 // plan's rng.Mix hierarchy (sim, runtime, and udp use their own salts).
 const tcpFaultSalt = 0x7c
 
-// Option configures a Node.
-type Option func(*Node)
-
-// WithMailbox sets the per-(group, sender, instance) mailbox size
-// (default 8).
-func WithMailbox(slots int) Option {
-	return func(n *Node) { n.mailboxSlots = slots }
-}
-
-// WithSendQueue sets the per-link outbound queue length (default 32). A
-// send finding the queue full — a dead link under retransmission, a
-// backlogged connection — is dropped at the sender, the bounded-capacity
-// rule applied to the transport's own buffering.
-func WithSendQueue(slots int) Option {
-	return func(n *Node) { n.sendSlots = slots }
-}
+// Option configures a Node; see the engine's options. WithObserver,
+// WithTopology, and WithFaults configure the default group, or a
+// cluster attached to a Mux.
+type Option = engine.Option
 
 // WithBatch bounds how many queued frames one vectored write may carry
 // (default 32). WithBatch(1) gives every frame its own write system
 // call — the pre-amortization behavior. Unlike UDP's coalescing knob
 // this is purely a syscall bound: frames are never merged or delayed,
 // so the bytes on the wire are identical at every setting.
-func WithBatch(k int) Option {
-	return func(n *Node) { n.vecCap = k }
-}
+func WithBatch(k int) Option { return engine.WithBatch(k) }
 
-// WithTick sets the fallback mailbox sweep interval (default 1ms).
-// Mailbox drains are notification-driven; the sweep is a safety net and
-// the cadence at which delayed fault-plan messages are surfaced.
-func WithTick(d time.Duration) Option {
-	return func(n *Node) { n.tick = d }
-}
+// WithObserver subscribes a goroutine-safe event observer; see
+// engine.WithObserver.
+func WithObserver(ob core.Observer) Option { return engine.WithObserver(ob) }
 
-// WithStepInterval sets the pacing of internal protocol actions (default
-// 2ms) — the retransmission interval, exactly as on UDP.
-func WithStepInterval(d time.Duration) Option {
-	return func(n *Node) { n.stepInterval = d }
-}
+// WithTopology declares the default group's communication graph; see
+// engine.WithTopology. Inbound connections from non-neighbours are
+// rejected at the hello.
+func WithTopology(t *core.Topology) Option { return engine.WithTopology(t) }
 
-// WithDialBackoff sets the redial backoff range (default 25ms..1s): the
-// first redial after a connection loss waits min, doubling up to max.
-func WithDialBackoff(min, max time.Duration) Option {
-	return func(n *Node) { n.dialMin, n.dialMax = min, max }
-}
-
-// WithWriteTimeout bounds every connect and frame write (default 2s). A
-// write that cannot complete within it is treated as a lost message and
-// a lost connection.
-func WithWriteTimeout(d time.Duration) Option {
-	return func(n *Node) { n.writeTimeout = d }
-}
-
-// WithObserver subscribes an event observer on the node's default group.
-// Callbacks arrive concurrently from reader goroutines (mailbox-full
-// EvLose), writer goroutines (EvSendLost on dead connections), and the
-// activation loop, so the observer must be goroutine-safe.
-func WithObserver(o core.Observer) Option {
-	return func(n *Node) { n.obs0 = append(n.obs0, o) }
-}
-
-// WithTopology declares the communication graph of the node's default
-// group: sends to non-neighbours are dropped (and counted) at the
-// sender, inbound connections from non-neighbours are rejected at the
-// hello, and the installed fault plan is validated against the edge set.
-// The default (nil) is the complete graph.
-func WithTopology(t *core.Topology) Option {
-	return func(n *Node) { n.topo0 = t }
-}
-
-// WithFaults installs a fault-injection plan (see core.FaultPlan) on the
-// node's default group, interposed at the mailbox boundary exactly as on
-// UDP: every decoded message from a known peer — individually, whatever
-// frame carried it — passes the group's injector before it is boxed,
-// which may drop, duplicate, corrupt, reorder, or delay it, honor
-// partition windows, and silence the group inside crash windows (no
-// internal actions, no mailbox drains, arrivals consumed). The injector
-// is seeded rng.Mix(plan.Seed, salt, self); schedule windows are
-// measured in plan.Unit ticks of wall time from Start. TCP's own
-// connection losses compose underneath the plan.
-func WithFaults(plan *core.FaultPlan) Option {
-	return func(n *Node) { n.fault0 = plan }
-}
-
-// group is one protocol stack hosted on a node: an independent cluster
-// member with its own routing, observers, topology, fault plane, and
-// message counters, multiplexed with its siblings over the node's
-// connections by the wire v3 group id.
-type group struct {
-	id        uint64
-	stack     core.Stack
-	routes    map[string]core.Machine
-	topo      *core.Topology
-	observers core.MultiObserver
-	fault     *core.FaultPlan
-	faultUnit time.Duration
-	epoch     time.Time // fault-schedule tick zero; set before the group is visible to the loops
-
-	// injMu guards the injector: TCP has one reader per inbound
-	// connection, so the (not goroutine-safe) injector needs a lock even
-	// within one group.
-	injMu sync.Mutex
-	inj   *core.Injector
-
-	sends        atomic.Int64
-	recvs        atomic.Int64
-	sendDrops    atomic.Int64
-	mailboxDrops atomic.Int64
-}
-
-func (g *group) emit(ev core.Event) {
-	if len(g.observers) > 0 {
-		g.observers.OnEvent(ev)
-	}
-}
-
-// now returns the group's fault-schedule tick: wall time since its epoch
-// in plan.Unit ticks. Only meaningful when a fault plan is installed.
-func (g *group) now() int64 {
-	return int64(time.Since(g.epoch) / g.faultUnit)
-}
-
-// down reports whether the group is inside a crash window for self.
-func (g *group) down(self core.ProcID) bool {
-	return g.fault != nil && g.fault.Down(self, g.now())
-}
-
-// buildGroup assembles and validates one hosted group.
-func buildGroup(id uint64, stack core.Stack, topo *core.Topology, plan *core.FaultPlan,
-	obs core.MultiObserver, nProcs int, self core.ProcID) (*group, error) {
-	if topo != nil && topo.N() != nProcs {
-		return nil, fmt.Errorf("tcp: topology over %d processes, %d peers", topo.N(), nProcs)
-	}
-	g := &group{
-		id:        id,
-		stack:     stack,
-		routes:    stack.ByInstance(),
-		topo:      topo,
-		observers: obs,
-		fault:     plan,
-	}
-	if plan != nil {
-		if err := plan.Validate(); err != nil {
-			return nil, fmt.Errorf("tcp: %w", err)
-		}
-		if err := plan.ValidateTopology(topo); err != nil {
-			return nil, fmt.Errorf("tcp: %w", err)
-		}
-		g.faultUnit = plan.TickUnit()
-		seed := rng.Mix(plan.Seed, tcpFaultSalt, uint64(self))
-		if id != 0 {
-			// Extra groups get distinct injector streams; group 0 keeps the
-			// exact legacy seeding so recorded runs stay reproducible.
-			seed = rng.Mix(plan.Seed, tcpFaultSalt, uint64(self), id)
-		}
-		g.inj = core.NewInjector(plan, rng.New(seed))
-	}
-	return g, nil
-}
-
-// groupSet is the copy-on-write view of a node's hosted groups, swapped
-// atomically so the loops read it without locks.
-type groupSet struct {
-	byID map[uint64]*group
-	list []*group
-}
+// WithFaults installs a fault-injection plan on the default group; see
+// engine.WithFaults. TCP's own connection losses compose underneath the
+// plan.
+func WithFaults(plan *core.FaultPlan) Option { return engine.WithFaults(plan) }
 
 // outFrame is one encoded frame queued on a link, tagged with the group
 // whose counters and observers account for its fate.
 type outFrame struct {
 	b []byte
-	g *group
+	g *engine.Group
 }
 
 // link is one outgoing directed edge: a bounded queue of encoded frames
@@ -304,176 +128,32 @@ type link struct {
 }
 
 // Node is one process bound to a TCP listener, hosting one or more
-// groups.
+// groups. The engine's methods — Start, Stop, Do, Await, Stats — are
+// promoted.
 type Node struct {
-	self         core.ProcID
-	ln           net.Listener
-	peerAddrs    []string
-	mailboxSlots int
-	sendSlots    int
-	vecCap       int
-	tick         time.Duration
-	stepInterval time.Duration
-	dialMin      time.Duration
-	dialMax      time.Duration
-	writeTimeout time.Duration
+	*engine.Node
+	mv *mover
+}
 
-	// Group-0 staging, written by options and consumed by NewNode; a
-	// mux-hosted node (nil stack) must not carry any of these. topo0 also
-	// shapes the socket layer itself — link wiring at Start and hello
-	// admission follow the default group's graph — and is nil on a mux
-	// node, whose groups restrict traffic per message instead.
-	topo0  *core.Topology
-	fault0 *core.FaultPlan
-	obs0   core.MultiObserver
+// mover is the TCP frame mover under one engine node.
+type mover struct {
+	e                *engine.Node
+	self             core.ProcID
+	ln               net.Listener
+	peerAddrs        []string
+	vecCap           int
+	dialMin, dialMax time.Duration
 
-	g0 *group // the default group (nil on mux-hosted nodes)
-
-	gmu    sync.Mutex // serializes attach/detach
-	groups atomic.Pointer[groupSet]
-
-	// mu is the action mutex: it makes stack actions (Step, Deliver, Do)
-	// atomic. Sends performed under it only encode and enqueue — socket
-	// writes happen on the writer goroutines — so no protocol action ever
-	// blocks on the network.
-	mu      sync.Mutex
-	sendOne [1]core.Message // v3 single-record scratch, guarded by mu
-
-	out []*link // indexed by peer; nil for self, unwired, or non-neighbour
-
-	// mbMu guards the double-buffered mailboxes (DESIGN.md §7) and is
-	// never held across socket operations or protocol actions.
-	mbMu      sync.Mutex
-	mailboxes map[mailKey][]core.Message
-	spare     map[mailKey][]core.Message
-	boxed     int
-	mail      chan struct{}
-
-	redials     atomic.Int64
-	linkSent    []atomic.Int64
-	linkRecvd   []atomic.Int64
-	linkDropped []atomic.Int64
-
-	// Socket-level IO counters, shared by every group the node hosts.
-	sendFrames   atomic.Int64
-	sendSyscalls atomic.Int64
-	recvFrames   atomic.Int64
-	recvSyscalls atomic.Int64
+	sendOne [1]core.Message // v3 single-record scratch, under the action mutex
+	out     []*link         // indexed by peer; nil for self, unwired, or non-neighbour
 
 	// connMu guards the accepted-connection registry used for teardown:
-	// Stop closes every registered connection to unblock its reader.
+	// Close closes every registered connection to unblock its reader.
 	connMu   sync.Mutex
 	accepted map[net.Conn]struct{}
 	closed   bool
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	wg       sync.WaitGroup
-}
-
-type mailKey struct {
-	gid      uint64
-	from     core.ProcID
-	instance string
-}
-
-// Stats counts transport-level events. All counters are safe to read
-// concurrently with the node's loops. The message counters (Sends,
-// Recvs, SendDrops, MailboxDrops, Faults) belong to the node's default
-// group; the frame, syscall, redial, and link counters are per socket
-// and therefore shared by every group the node hosts.
-type Stats struct {
-	// Sends counts messages accepted into an outbound link queue (and
-	// therefore into the model's channel).
-	Sends int64
-	// Recvs counts messages accepted into a mailbox.
-	Recvs int64
-	// SendDrops counts messages lost at the sender: sends to
-	// non-neighbours, unencodable payloads, full outbound queues, and
-	// writes caught by a dead or timed-out connection.
-	SendDrops int64
-	// MailboxDrops counts messages dropped at a full receive mailbox (the
-	// model's lose-on-full rule, reported as core.EvLose).
-	MailboxDrops int64
-	// Redials counts connection establishments beyond each link's first —
-	// the dial/accept lifecycle recovering from a lost connection.
-	Redials int64
-	// SendFrames and RecvFrames count length-prefixed wire frames moved
-	// on the node's connections (the stream analogue of datagrams).
-	SendFrames int64
-	RecvFrames int64
-	// SendSyscalls counts vectored socket writes — each covers every
-	// frame queued on its link at wake-up — and RecvSyscalls counts
-	// buffered socket reads, each pulling as many frames as the kernel
-	// had; SendFrames/SendSyscalls is the write amortization.
-	SendSyscalls int64
-	RecvSyscalls int64
-	// Links holds per-directed-link counters for every peer.
-	Links []core.LinkStats
-	// Faults counts the faults injected at this node's mailbox boundary
-	// by the installed FaultPlan; zero without one.
-	Faults core.FaultStats
-}
-
-// Stats returns a snapshot of the transport counters for the default
-// group (plus the socket-wide frame/syscall counters).
-func (n *Node) Stats() Stats {
-	if n.g0 != nil {
-		return n.groupStats(n.g0)
-	}
-	return n.groupStats(&group{})
-}
-
-func (n *Node) groupStats(g *group) Stats {
-	s := Stats{
-		Sends:        g.sends.Load(),
-		Recvs:        g.recvs.Load(),
-		SendDrops:    g.sendDrops.Load(),
-		MailboxDrops: g.mailboxDrops.Load(),
-		Redials:      n.redials.Load(),
-		SendFrames:   n.sendFrames.Load(),
-		RecvFrames:   n.recvFrames.Load(),
-		SendSyscalls: n.sendSyscalls.Load(),
-		RecvSyscalls: n.recvSyscalls.Load(),
-	}
-	for p := range n.linkSent {
-		if core.ProcID(p) == n.self {
-			continue
-		}
-		s.Links = append(s.Links, core.LinkStats{
-			Peer:     core.ProcID(p),
-			Sent:     n.linkSent[p].Load(),
-			Received: n.linkRecvd[p].Load(),
-			Dropped:  n.linkDropped[p].Load(),
-		})
-	}
-	if g.inj != nil {
-		g.injMu.Lock()
-		s.Faults = g.inj.Stats()
-		g.injMu.Unlock()
-	}
-	return s
-}
-
-// transportStats assembles the substrate-agnostic snapshot for one
-// hosted group. Frames map onto the datagram fields: on a stream
-// transport the length-prefixed frame is the unit the socket moves.
-func (n *Node) transportStats(g *group) core.TransportStats {
-	s := n.groupStats(g)
-	return core.TransportStats{
-		Addr:          n.Addr(),
-		Sends:         s.Sends,
-		Recvs:         s.Recvs,
-		SendDrops:     s.SendDrops,
-		MailboxDrops:  s.MailboxDrops,
-		Redials:       s.Redials,
-		SendDatagrams: s.SendFrames,
-		RecvDatagrams: s.RecvFrames,
-		SendSyscalls:  s.SendSyscalls,
-		RecvSyscalls:  s.RecvSyscalls,
-		Links:         s.Links,
-		Faults:        s.Faults,
-	}
+	wg sync.WaitGroup
 }
 
 // NewNode binds process self to laddr. peers maps every process ID
@@ -485,217 +165,147 @@ func NewNode(self core.ProcID, stack core.Stack, laddr string, peers []string, o
 	if int(self) >= len(peers) || self < 0 {
 		return nil, fmt.Errorf("tcp: self %d outside peer list of %d", self, len(peers))
 	}
+	o := engine.Apply(opts)
+	if o.Batch == 0 {
+		o.Batch = sendVecCap
+	}
+	if o.DialMin == 0 && o.DialMax == 0 {
+		o.DialMin, o.DialMax = dialMin, dialMax
+	}
+	if o.Batch < 1 {
+		return nil, fmt.Errorf("tcp: invalid batch %d", o.Batch)
+	}
+	if o.DialMin <= 0 || o.DialMax < o.DialMin {
+		return nil, fmt.Errorf("tcp: invalid backoff %v..%v", o.DialMin, o.DialMax)
+	}
 	ln, err := net.Listen("tcp", laddr)
 	if err != nil {
 		return nil, fmt.Errorf("tcp: listen %q: %w", laddr, err)
 	}
-	n := &Node{
-		self:         self,
-		ln:           ln,
-		peerAddrs:    append([]string(nil), peers...),
-		mailboxSlots: 8,
-		sendSlots:    32,
-		vecCap:       sendVecCap,
-		tick:         time.Millisecond,
-		stepInterval: 2 * time.Millisecond,
-		dialMin:      25 * time.Millisecond,
-		dialMax:      time.Second,
-		writeTimeout: 2 * time.Second,
-		mailboxes:    make(map[mailKey][]core.Message),
-		spare:        make(map[mailKey][]core.Message),
-		mail:         make(chan struct{}, 1),
-		accepted:     make(map[net.Conn]struct{}),
-		stop:         make(chan struct{}),
-		linkSent:     make([]atomic.Int64, len(peers)),
-		linkRecvd:    make([]atomic.Int64, len(peers)),
-		linkDropped:  make([]atomic.Int64, len(peers)),
+	mv := &mover{
+		self:      self,
+		ln:        ln,
+		peerAddrs: append([]string(nil), peers...),
+		vecCap:    o.Batch,
+		dialMin:   o.DialMin,
+		dialMax:   o.DialMax,
+		out:       make([]*link, len(peers)),
+		accepted:  make(map[net.Conn]struct{}),
 	}
-	n.groups.Store(&groupSet{byID: map[uint64]*group{}})
-	for _, opt := range opts {
-		opt(n)
-	}
-	fail := func(err error) (*Node, error) {
+	mv.e, err = engine.New(engine.Config{
+		Name: "tcp", Self: self, N: len(peers), Mailbox: mailboxSlots, FaultSalt: tcpFaultSalt,
+	}, mv, stack, o.Group)
+	if err != nil {
 		ln.Close()
 		return nil, err
 	}
-	if n.mailboxSlots < 1 || n.sendSlots < 1 || n.vecCap < 1 {
-		return fail(fmt.Errorf("tcp: invalid mailbox %d / send queue %d / batch %d", n.mailboxSlots, n.sendSlots, n.vecCap))
-	}
-	if n.dialMin <= 0 || n.dialMax < n.dialMin || n.writeTimeout <= 0 {
-		return fail(fmt.Errorf("tcp: invalid backoff %v..%v / write timeout %v", n.dialMin, n.dialMax, n.writeTimeout))
-	}
-	if stack == nil {
-		if n.topo0 != nil || n.fault0 != nil || len(n.obs0) > 0 {
-			return fail(fmt.Errorf("tcp: group option on a node with no default group"))
-		}
-		return n, nil
-	}
-	g, err := buildGroup(0, stack, n.topo0, n.fault0, n.obs0, len(peers), self)
-	if err != nil {
-		return fail(err)
-	}
-	n.g0 = g
-	n.addGroup(g)
-	return n, nil
+	return &Node{Node: mv.e, mv: mv}, nil
 }
-
-// addGroup publishes g to the loops (copy-on-write).
-func (n *Node) addGroup(g *group) {
-	n.gmu.Lock()
-	defer n.gmu.Unlock()
-	old := n.groups.Load()
-	gs := &groupSet{byID: make(map[uint64]*group, len(old.byID)+1)}
-	for id, og := range old.byID {
-		gs.byID[id] = og
-	}
-	gs.byID[g.id] = g
-	gs.list = make([]*group, 0, len(gs.byID))
-	for _, og := range gs.byID {
-		gs.list = append(gs.list, og)
-	}
-	n.groups.Store(gs)
-}
-
-// removeGroup detaches group id; its boxed mail is discarded on the next
-// drain and inbound frames for it are dropped.
-func (n *Node) removeGroup(id uint64) {
-	n.gmu.Lock()
-	defer n.gmu.Unlock()
-	old := n.groups.Load()
-	if _, ok := old.byID[id]; !ok {
-		return
-	}
-	gs := &groupSet{byID: make(map[uint64]*group, len(old.byID)-1)}
-	for gid, og := range old.byID {
-		if gid != id {
-			gs.byID[gid] = og
-		}
-	}
-	gs.list = make([]*group, 0, len(gs.byID))
-	for _, og := range gs.byID {
-		gs.list = append(gs.list, og)
-	}
-	n.groups.Store(gs)
-}
-
-// Addr returns the bound local address (useful with port 0).
-func (n *Node) Addr() string { return n.ln.Addr().String() }
 
 // SetPeer sets the address of peer id after construction, enabling
 // two-phase setup: bind every listener with port 0 first, then wire the
 // learned addresses. Must be called before Start.
-func (n *Node) SetPeer(id core.ProcID, addr string) { n.peerAddrs[id] = addr }
+func (n *Node) SetPeer(id core.ProcID, addr string) { n.mv.peerAddrs[id] = addr }
 
-// Start launches the accept and activation loops and one writer per
-// wired outgoing link. Peers must not change after Start.
-func (n *Node) Start() {
-	epoch := time.Now() // fault-schedule tick zero
-	for _, g := range n.groups.Load().list {
-		g.epoch = epoch
-	}
-	n.out = make([]*link, len(n.peerAddrs))
-	for p, addr := range n.peerAddrs {
+func (mv *mover) Addr() string { return mv.ln.Addr().String() }
+
+func (mv *mover) SetPeerAddr(id core.ProcID, addr string) error {
+	mv.peerAddrs[id] = addr
+	return nil
+}
+
+// Start launches the accept loop and one writer per wired outgoing link.
+func (mv *mover) Start() {
+	topo := mv.e.Topology()
+	for p, addr := range mv.peerAddrs {
 		id := core.ProcID(p)
-		if id == n.self || addr == "" {
+		if id == mv.self || addr == "" {
 			continue
 		}
-		if n.topo0 != nil && !n.topo0.HasEdge(n.self, id) {
+		if topo != nil && !topo.HasEdge(mv.self, id) {
 			// A wired address that is not a neighbour of the default group
 			// never gets a link: its sends vanish at the sender, counted,
 			// like on UDP. (A mux node has no default topology and wires
 			// everything; its groups restrict traffic per message.)
 			continue
 		}
-		l := &link{peer: id, addr: addr, q: make(chan outFrame, n.sendSlots)}
-		n.out[p] = l
-		n.wg.Add(1)
-		go n.writeLoop(l)
+		l := &link{peer: id, addr: addr, q: make(chan outFrame, sendQueue)}
+		mv.out[p] = l
+		mv.wg.Add(1)
+		go mv.writeLoop(l)
 	}
-	n.wg.Add(2)
-	go n.acceptLoop()
-	go n.actLoop()
+	mv.wg.Add(1)
+	go mv.acceptLoop()
 }
+
+// Close closes the listener and every accepted connection, then waits
+// for the accept, reader, and writer goroutines to exit.
+func (mv *mover) Close() {
+	mv.ln.Close()
+	mv.connMu.Lock()
+	mv.closed = true
+	for c := range mv.accepted {
+		c.Close()
+	}
+	mv.connMu.Unlock()
+	mv.wg.Wait()
+}
+
+// Flush is a no-op: every frame is enqueued on its link as it is sent.
+func (mv *mover) Flush() {}
 
 // framePool recycles encoded frames between Send (producer) and the
 // writer goroutines (consumer), so steady-state sending allocates only
 // when a frame outgrows its recycled buffer.
 var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
-// env implements core.Env for one group; use only under n.mu.
-type env struct {
-	n *Node
-	g *group
-}
-
-func (v env) Self() core.ProcID { return v.n.self }
-func (v env) N() int            { return len(v.n.peerAddrs) }
-
-func (v env) Send(to core.ProcID, m core.Message) {
-	n, g := v.n, v.g
-	if int(to) < 0 || int(to) >= len(n.peerAddrs) {
-		return
-	}
-	if g.topo != nil && !g.topo.HasEdge(n.self, to) {
-		// Not a neighbour under the topology: no channel exists, the send
-		// vanishes at the sender (and is counted, unlike an unwired peer).
-		g.sendDrops.Add(1)
-		g.emit(core.Event{Kind: core.EvSendLost, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m, Note: "no edge"})
-		return
-	}
-	l := n.out[to]
+// Send encodes m and enqueues it on the link to peer to. Runs under the
+// engine's action mutex and never blocks.
+func (mv *mover) Send(g *engine.Group, to core.ProcID, m core.Message) {
+	l := mv.out[to]
 	if l == nil {
 		return
 	}
 	bp := framePool.Get().(*[]byte)
 	buf := append((*bp)[:0], 0, 0, 0, 0)
 	var err error
-	if g.id == 0 {
+	if g.ID() == 0 {
 		// The default group keeps the bare v1/v2 framing, byte-compatible
 		// with peers that predate the v3 batch frame.
 		buf, err = wire.AppendEncode(buf, m)
 	} else {
-		n.sendOne[0] = m
-		buf, err = wire.AppendBatch(buf, g.id, n.sendOne[:])
-		n.sendOne[0] = core.Message{}
+		mv.sendOne[0] = m
+		buf, err = wire.AppendBatch(buf, g.ID(), mv.sendOne[:])
+		mv.sendOne[0] = core.Message{}
 	}
 	if err != nil {
 		*bp = buf[:0]
 		framePool.Put(bp)
-		g.sendDrops.Add(1)
-		n.linkDropped[to].Add(1)
-		g.emit(core.Event{Kind: core.EvSendLost, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m})
+		mv.e.SendLost(g, to, m, "")
 		return
 	}
 	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
 	*bp = buf
 	select {
 	case l.q <- outFrame{b: buf, g: g}:
-		g.sends.Add(1)
-		n.linkSent[to].Add(1)
-		g.emit(core.Event{Kind: core.EvSend, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m})
+		mv.e.Sent(g, to, 1)
+		mv.e.EmitSend(g, to, m)
 	default:
 		// Queue full: the bounded channel's lose-on-full rule applied at
 		// the sender (a dead link under retransmission fills it fast).
 		framePool.Put(bp)
-		g.sendDrops.Add(1)
-		n.linkDropped[to].Add(1)
-		g.emit(core.Event{Kind: core.EvSendLost, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m, Note: "queue full"})
+		mv.e.SendLost(g, to, m, "queue full")
 	}
-}
-
-func (v env) Emit(ev core.Event) {
-	ev.Proc = v.n.self
-	v.g.emit(ev)
 }
 
 // helloFrame encodes this node's identification frame (always a bare
 // group-0 frame, so pre-v3 peers can validate it).
-func (n *Node) helloFrame() []byte {
+func (mv *mover) helloFrame() []byte {
 	buf := []byte{0, 0, 0, 0}
 	buf, err := wire.AppendEncode(buf, core.Message{
 		Instance: helloInstance,
 		Kind:     "HELLO",
-		B:        core.Payload{Num: int64(n.self)},
+		B:        core.Payload{Num: int64(mv.self)},
 	})
 	if err != nil {
 		panic("tcp: hello frame unencodable: " + err.Error())
@@ -707,8 +317,8 @@ func (n *Node) helloFrame() []byte {
 // dial establishes one connection for l: connect, enable keepalive (so a
 // silently dead peer eventually fails the writer out of its connection),
 // and identify with the hello frame.
-func (n *Node) dial(l *link) (net.Conn, error) {
-	conn, err := net.DialTimeout("tcp", l.addr, n.writeTimeout)
+func (mv *mover) dial(l *link) (net.Conn, error) {
+	conn, err := net.DialTimeout("tcp", l.addr, writeTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -717,8 +327,8 @@ func (n *Node) dial(l *link) (net.Conn, error) {
 		_ = tc.SetKeepAlivePeriod(30 * time.Second)
 		_ = tc.SetNoDelay(true)
 	}
-	_ = conn.SetWriteDeadline(time.Now().Add(n.writeTimeout))
-	if _, err := conn.Write(n.helloFrame()); err != nil {
+	_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	if _, err := conn.Write(mv.helloFrame()); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -732,42 +342,43 @@ func (n *Node) dial(l *link) (net.Conn, error) {
 // frame caught by a write error is lost in transit — the model's message
 // loss; the protocols' retransmission keeps fresh copies coming once the
 // link is back.
-func (n *Node) writeLoop(l *link) {
-	defer n.wg.Done()
+func (mv *mover) writeLoop(l *link) {
+	defer mv.wg.Done()
 	var conn net.Conn
 	defer func() {
 		if conn != nil {
 			conn.Close()
 		}
 	}()
-	backoff := n.dialMin
+	stop := mv.e.Done()
+	backoff := mv.dialMin
 	dialed := 0
-	batch := make([]outFrame, 0, n.vecCap)
-	vec := make(net.Buffers, 0, n.vecCap)
+	batch := make([]outFrame, 0, mv.vecCap)
+	vec := make(net.Buffers, 0, mv.vecCap)
 	for {
 		if conn == nil {
-			c, err := n.dial(l)
+			c, err := mv.dial(l)
 			if err != nil {
 				select {
-				case <-n.stop:
+				case <-stop:
 					return
 				case <-time.After(backoff):
 				}
 				backoff *= 2
-				if backoff > n.dialMax {
-					backoff = n.dialMax
+				if backoff > mv.dialMax {
+					backoff = mv.dialMax
 				}
 				continue
 			}
 			conn = c
-			backoff = n.dialMin
+			backoff = mv.dialMin
 			dialed++
 			if dialed > 1 {
-				n.redials.Add(1)
+				mv.e.IO.Redials.Add(1)
 			}
 		}
 		select {
-		case <-n.stop:
+		case <-stop:
 			return
 		case f := <-l.q:
 			batch = append(batch[:0], f)
@@ -784,9 +395,9 @@ func (n *Node) writeLoop(l *link) {
 			for _, bf := range batch {
 				vec = append(vec, bf.b)
 			}
-			_ = conn.SetWriteDeadline(time.Now().Add(n.writeTimeout))
+			_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 			_, err := (&vec).WriteTo(conn)
-			n.sendSyscalls.Add(1)
+			mv.e.IO.SendSyscalls.Add(1)
 			// WriteTo consumed the written prefix of vec; what remains (a
 			// partially written first frame included) was lost with the
 			// connection.
@@ -795,59 +406,43 @@ func (n *Node) writeLoop(l *link) {
 				fp := bf.b[:0]
 				framePool.Put(&fp)
 			}
-			n.sendFrames.Add(int64(len(batch) - lost))
+			mv.e.IO.SendFrames.Add(int64(len(batch) - lost))
 			if err != nil {
 				conn.Close()
 				conn = nil
 				for _, bf := range batch[len(batch)-lost:] {
-					bf.g.sendDrops.Add(1)
-					n.linkDropped[l.peer].Add(1)
-					bf.g.emit(core.Event{Kind: core.EvSendLost, Proc: n.self, Peer: l.peer, Note: "connection lost"})
+					mv.e.SendLost(bf.g, l.peer, core.Message{}, "connection lost")
 				}
 			}
 		}
 	}
 }
 
-// register adds an accepted connection to the teardown registry; a false
-// return means the node already stopped and the caller must close conn.
-func (n *Node) register(conn net.Conn) bool {
-	n.connMu.Lock()
-	defer n.connMu.Unlock()
-	if n.closed {
-		return false
-	}
-	n.accepted[conn] = struct{}{}
-	return true
-}
-
-func (n *Node) unregister(conn net.Conn) {
-	n.connMu.Lock()
-	delete(n.accepted, conn)
-	n.connMu.Unlock()
-}
-
 // acceptLoop admits inbound connections and spawns one reader per
 // connection. Transient accept errors back off briefly; the loop exits
 // when the listener closes at Stop.
-func (n *Node) acceptLoop() {
-	defer n.wg.Done()
+func (mv *mover) acceptLoop() {
+	defer mv.wg.Done()
 	for {
-		conn, err := n.ln.Accept()
+		conn, err := mv.ln.Accept()
 		if err != nil {
 			select {
-			case <-n.stop:
+			case <-mv.e.Done():
 				return
 			case <-time.After(5 * time.Millisecond):
 				continue
 			}
 		}
-		if !n.register(conn) {
+		mv.connMu.Lock()
+		if mv.closed { // the node stopped: Close already swept the registry
+			mv.connMu.Unlock()
 			conn.Close()
 			return
 		}
-		n.wg.Add(1)
-		go n.readLoop(conn)
+		mv.accepted[conn] = struct{}{}
+		mv.connMu.Unlock()
+		mv.wg.Add(1)
+		go mv.readLoop(conn)
 	}
 }
 
@@ -857,7 +452,7 @@ var errBadHello = errors.New("tcp: invalid hello")
 
 // readHello consumes and validates the identification frame, returning
 // the peer index the connection speaks for.
-func (n *Node) readHello(conn net.Conn, src io.Reader, buf []byte) (core.ProcID, error) {
+func (mv *mover) readHello(conn net.Conn, src io.Reader, buf []byte) (core.ProcID, error) {
 	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	gid, msgs, _, err := readFrame(src, buf, nil)
 	if err != nil {
@@ -872,10 +467,10 @@ func (n *Node) readHello(conn net.Conn, src io.Reader, buf []byte) (core.ProcID,
 		return 0, errBadHello
 	}
 	id := core.ProcID(m.B.Num)
-	if int64(id) != m.B.Num || int(id) < 0 || int(id) >= len(n.peerAddrs) || id == n.self {
+	if int64(id) != m.B.Num || int(id) < 0 || int(id) >= len(mv.peerAddrs) || id == mv.self {
 		return 0, errBadHello
 	}
-	if n.topo0 != nil && !n.topo0.HasEdge(id, n.self) {
+	if topo := mv.e.Topology(); topo != nil && !topo.HasEdge(id, mv.self) {
 		return 0, fmt.Errorf("tcp: peer %d is not a neighbour", id)
 	}
 	// When the peer's address is configured, the connection must come
@@ -883,7 +478,7 @@ func (n *Node) readHello(conn net.Conn, src io.Reader, buf []byte) (core.ProcID,
 	// config is therefore also a minimal allowlist; an unwired peer is
 	// accepted on its own claim, mirroring UDP's unwired-sender drop in
 	// reverse (TCP must accept before it can identify).
-	if want := n.peerAddrs[id]; want != "" {
+	if want := mv.peerAddrs[id]; want != "" {
 		wantHost, _, err1 := net.SplitHostPort(want)
 		gotHost, _, err2 := net.SplitHostPort(conn.RemoteAddr().String())
 		if err1 == nil && err2 == nil {
@@ -942,19 +537,23 @@ func (r *countingReader) Read(p []byte) (int, error) {
 	return sz, err
 }
 
-// readLoop moves one connection's frames into the bounded mailboxes,
-// routing each decoded message to its group. It exits on any read error
-// — EOF when the peer closes or restarts, a local close from Stop — and
-// the dialing side redials. Reads go through a buffered reader sized to
-// pull many frames per socket read.
-func (n *Node) readLoop(conn net.Conn) {
-	defer n.wg.Done()
-	defer n.unregister(conn)
-	defer conn.Close()
-	src := bufio.NewReaderSize(&countingReader{conn: conn, calls: &n.recvSyscalls}, 64<<10)
+// readLoop hands one connection's frames to the engine as the peer its
+// hello named. It exits on any read error — EOF when the peer closes or
+// restarts, a local close from Stop — and the dialing side redials.
+// Reads go through a buffered reader sized to pull many frames per
+// socket read.
+func (mv *mover) readLoop(conn net.Conn) {
+	defer func() {
+		conn.Close()
+		mv.connMu.Lock()
+		delete(mv.accepted, conn)
+		mv.connMu.Unlock()
+		mv.wg.Done()
+	}()
+	src := bufio.NewReaderSize(&countingReader{conn: conn, calls: &mv.e.IO.RecvSyscalls}, 64<<10)
 	buf := make([]byte, 0, 4096)
 	var msgs []core.Message
-	sender, err := n.readHello(conn, src, buf[:cap(buf)])
+	sender, err := mv.readHello(conn, src, buf[:cap(buf)])
 	if err != nil {
 		return
 	}
@@ -964,225 +563,13 @@ func (n *Node) readLoop(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		n.recvFrames.Add(1)
-		g := n.groups.Load().byID[gid]
-		if g == nil {
-			continue // no such group here (stale or stray traffic): dropped
-		}
-		if g.topo != nil && !g.topo.HasEdge(sender, n.self) {
-			continue // not a neighbour in this group's graph: dropped
-		}
+		mv.e.IO.RecvFrames.Add(1)
+		kept := msgs[:0]
 		for _, m := range msgs {
-			if m.Instance == helloInstance {
-				continue // a duplicate hello is consumed, never delivered
-			}
-			if g.inj != nil {
-				// Per logical message, never per frame: framing is invisible
-				// to the fault plane.
-				g.injMu.Lock()
-				out, fate := g.inj.Filter(sender, n.self, m, g.now())
-				// Filter returns the injector's reusable scratch slice; another
-				// connection's reader may call Filter (rewriting it) as soon as
-				// the lock drops, so snapshot it first.
-				if len(out) > 0 {
-					out = append([]core.Message(nil), out...)
-				}
-				g.injMu.Unlock()
-				if fate == core.FateDrop {
-					g.emit(core.Event{Kind: core.EvLose, Proc: n.self, Peer: sender, Instance: m.Instance, Msg: m})
-				}
-				for _, dm := range out {
-					n.box(g, sender, dm)
-				}
-				continue
-			}
-			n.box(g, sender, m)
-		}
-	}
-}
-
-// box appends one in-transit message to its bounded mailbox (the model's
-// lose-on-full rule applies) and wakes the activation loop.
-func (n *Node) box(g *group, sender core.ProcID, m core.Message) {
-	key := mailKey{gid: g.id, from: sender, instance: m.Instance}
-	n.mbMu.Lock()
-	b := n.mailboxes[key]
-	full := len(b) >= n.mailboxSlots
-	if !full {
-		n.mailboxes[key] = append(b, m)
-		n.boxed++
-	}
-	n.mbMu.Unlock()
-	if full {
-		// Lose-on-full: the message was in transit and is dropped at the
-		// receiver — the model's link loss, not a send failure.
-		g.mailboxDrops.Add(1)
-		n.linkDropped[sender].Add(1)
-		g.emit(core.Event{Kind: core.EvLose, Proc: n.self, Peer: sender, Instance: m.Instance, Msg: m})
-		return
-	}
-	g.recvs.Add(1)
-	n.linkRecvd[sender].Add(1)
-	select {
-	case n.mail <- struct{}{}:
-	default: // a wakeup is already pending
-	}
-}
-
-// actLoop delivers mailbox batches as soon as a reader signals them and
-// runs every group's internal actions at the step interval; the tick
-// timer is the fallback sweep and the cadence at which delayed
-// fault-plan messages surface.
-func (n *Node) actLoop() {
-	defer n.wg.Done()
-	stepTimer := time.NewTicker(n.stepInterval)
-	defer stepTimer.Stop()
-	sweep := time.NewTicker(n.tick)
-	defer sweep.Stop()
-	for {
-		select {
-		case <-n.stop:
-			return
-		case <-n.mail:
-			n.drainMail()
-		case <-sweep.C:
-			n.flushDelayed()
-			n.drainMail()
-		case <-stepTimer.C:
-			gs := n.groups.Load()
-			n.mu.Lock()
-			for _, g := range gs.list {
-				if g.down(n.self) {
-					continue // crash window: no internal actions until restart
-				}
-				ev := env{n: n, g: g}
-				for _, m := range g.stack {
-					m.Step(ev)
-				}
-			}
-			n.mu.Unlock()
-		}
-	}
-}
-
-// flushDelayed surfaces expired delayed messages even on quiet links.
-func (n *Node) flushDelayed() {
-	for _, g := range n.groups.Load().list {
-		if g.inj == nil {
-			continue
-		}
-		g.injMu.Lock()
-		rel := g.inj.Flush(g.now())
-		g.injMu.Unlock()
-		for _, r := range rel {
-			n.box(g, r.From, r.Msg)
-		}
-	}
-}
-
-// drainMail swaps the filled mailbox buffer out (one pointer swap under
-// the mailbox lock, batching the handoff) and delivers its contents
-// under the action mutex, routing each mailbox to its group. Mail for a
-// group inside a crash window stays in transit: it is re-boxed untouched
-// and the sweep retries after the window (re-boxed mail that no longer
-// fits is dropped and counted, the lose-on-full rule again).
-func (n *Node) drainMail() {
-	gs := n.groups.Load()
-	if len(gs.list) == 1 && gs.list[0].down(n.self) {
-		// Sole group crashed: leave everything boxed without swapping.
-		return
-	}
-	n.mbMu.Lock()
-	if n.boxed == 0 {
-		n.mbMu.Unlock()
-		return
-	}
-	batch := n.mailboxes
-	n.mailboxes, n.spare = n.spare, n.mailboxes
-	n.boxed = 0
-	n.mbMu.Unlock()
-
-	type heldBox struct {
-		key  mailKey
-		msgs []core.Message
-	}
-	var held []heldBox
-	n.mu.Lock()
-	for key, box := range batch {
-		if len(box) == 0 {
-			continue
-		}
-		g := gs.byID[key.gid]
-		if g == nil {
-			// Group detached: its in-transit mail evaporates.
-			batch[key] = box[:0]
-			continue
-		}
-		if g.down(n.self) {
-			held = append(held, heldBox{key: key, msgs: append([]core.Message(nil), box...)})
-			batch[key] = box[:0]
-			continue
-		}
-		if mach, ok := g.routes[key.instance]; ok {
-			ev := env{n: n, g: g}
-			for _, m := range box {
-				g.emit(core.Event{Kind: core.EvDeliver, Proc: n.self, Peer: key.from, Instance: key.instance, Msg: m})
-				mach.Deliver(ev, key.from, m)
+			if m.Instance != helloInstance { // a duplicate hello is consumed, never delivered
+				kept = append(kept, m)
 			}
 		}
-		// A message addressed to an unknown instance is consumed with no
-		// effect, like a receive action with a false guard.
-		batch[key] = box[:0]
+		mv.e.Receive(sender, gid, kept)
 	}
-	n.mu.Unlock()
-
-	if len(held) > 0 {
-		n.mbMu.Lock()
-		for _, h := range held {
-			b := n.mailboxes[h.key]
-			for _, m := range h.msgs {
-				if len(b) >= n.mailboxSlots {
-					if g := gs.byID[h.key.gid]; g != nil {
-						g.mailboxDrops.Add(1)
-					}
-					continue
-				}
-				b = append(b, m)
-				n.boxed++
-			}
-			n.mailboxes[h.key] = b
-		}
-		n.mbMu.Unlock()
-	}
-}
-
-// Do runs f under the node's action mutex with its default group's
-// environment.
-func (n *Node) Do(f func(env core.Env)) {
-	if n.g0 == nil {
-		panic("tcp: Do on a node with no default group")
-	}
-	n.doGroup(n.g0, f)
-}
-
-func (n *Node) doGroup(g *group, f func(env core.Env)) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	f(env{n: n, g: g})
-}
-
-// Stop terminates the loops, closes the listener and every connection.
-// It is idempotent and safe to call from multiple goroutines.
-func (n *Node) Stop() {
-	n.stopOnce.Do(func() {
-		close(n.stop)
-		n.ln.Close()
-		n.connMu.Lock()
-		n.closed = true
-		for c := range n.accepted {
-			c.Close()
-		}
-		n.connMu.Unlock()
-		n.wg.Wait()
-	})
 }

@@ -10,6 +10,7 @@ import (
 	"github.com/snapstab/snapstab/internal/core"
 	"github.com/snapstab/snapstab/internal/pif"
 	"github.com/snapstab/snapstab/internal/rng"
+	"github.com/snapstab/snapstab/internal/transport/engine"
 	"github.com/snapstab/snapstab/internal/wire"
 )
 
@@ -36,9 +37,19 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) bool {
 	return cond()
 }
 
-// broadcastDone drives a broadcast at node src and waits for its PIF
+// withDialBackoff overrides the redial backoff range.
+func withDialBackoff(min, max time.Duration) Option {
+	return func(o *engine.Options) { o.DialMin, o.DialMax = min, max }
+}
+
+// at0 adapts process 0 of a cluster to broadcastDone.
+type at0 struct{ c *Cluster }
+
+func (a at0) Do(f func(core.Env)) { a.c.Do(0, f) }
+
+// broadcastDone drives a broadcast at node and waits for its PIF
 // handshake to complete with the token.
-func broadcastDone(t *testing.T, node *Node, m *pif.PIF, token core.Payload) {
+func broadcastDone(t *testing.T, node interface{ Do(func(core.Env)) }, m *pif.PIF, token core.Payload) {
 	t.Helper()
 	invoked := waitFor(t, 20*time.Second, func() bool {
 		var ok bool
@@ -72,7 +83,7 @@ func TestPIFOverLoopbackTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	broadcastDone(t, c.nodes[0], machines[0], core.Payload{Tag: "hello", Num: 4})
+	broadcastDone(t, at0{c}, machines[0], core.Payload{Tag: "hello", Num: 4})
 	for i, s := range c.TransportStats() {
 		if s.Sends == 0 {
 			t.Errorf("node %d accepted no sends", i)
@@ -98,7 +109,7 @@ func TestPIFOverTCPFromCorruptedState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	broadcastDone(t, c.nodes[0], machines[0], core.Payload{Tag: "fresh", Num: 3})
+	broadcastDone(t, at0{c}, machines[0], core.Payload{Tag: "fresh", Num: 3})
 }
 
 // TestSimultaneousStartDialRace releases every node's Start from a
@@ -111,7 +122,7 @@ func TestSimultaneousStartDialRace(t *testing.T) {
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
 		node, err := NewNode(core.ProcID(i), mkPIF(machines, core.ProcID(i), n), "127.0.0.1:0", make([]string, n),
-			WithDialBackoff(time.Millisecond, 50*time.Millisecond))
+			withDialBackoff(time.Millisecond, 50*time.Millisecond))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +167,7 @@ func TestRedialAfterPeerRestart(t *testing.T) {
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
 		node, err := NewNode(core.ProcID(i), mkPIF(machines, core.ProcID(i), n), "127.0.0.1:0", make([]string, n),
-			WithDialBackoff(time.Millisecond, 50*time.Millisecond))
+			withDialBackoff(time.Millisecond, 50*time.Millisecond))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +190,7 @@ func TestRedialAfterPeerRestart(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		node, err := NewNode(1, mkPIF(machines, 1, n), addr1, make([]string, n),
-			WithDialBackoff(time.Millisecond, 50*time.Millisecond))
+			withDialBackoff(time.Millisecond, 50*time.Millisecond))
 		if err == nil {
 			restarted = node
 			break
@@ -224,7 +235,7 @@ func TestHalfOpenConnectionsDoNotWedge(t *testing.T) {
 
 	// A liar claiming to be process 1 (a real peer), then silence: the
 	// reader blocks on the next frame forever.
-	liar, err := net.Dial("tcp", c.nodes[0].Addr())
+	liar, err := net.Dial("tcp", c.Addrs()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +254,7 @@ func TestHalfOpenConnectionsDoNotWedge(t *testing.T) {
 
 	// A babbler: a length prefix promising more than maxFrame, which the
 	// reader must reject without allocating it.
-	babbler, err := net.Dial("tcp", c.nodes[0].Addr())
+	babbler, err := net.Dial("tcp", c.Addrs()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +264,7 @@ func TestHalfOpenConnectionsDoNotWedge(t *testing.T) {
 	}
 
 	// The node still serves real traffic around both.
-	broadcastDone(t, c.nodes[0], machines[0], core.Payload{Tag: "alive", Num: 6})
+	broadcastDone(t, at0{c}, machines[0], core.Payload{Tag: "alive", Num: 6})
 
 	// Stop must unblock the half-open readers and return promptly.
 	done := make(chan struct{})
@@ -332,21 +343,14 @@ func TestSendAfterStopCountsDrops(t *testing.T) {
 	}
 }
 
-func TestNodeValidation(t *testing.T) {
+// TestHostValidation: the daemon substrate rejects impossible fleet
+// layouts, and the backoff range must be ordered.
+func TestHostValidation(t *testing.T) {
 	t.Parallel()
 	machines := make([]*pif.PIF, 2)
 	stack := mkPIF(machines, 0, 2)
-	if _, err := NewNode(5, stack, "127.0.0.1:0", []string{"a", "b"}); err == nil {
-		t.Fatal("out-of-range self accepted")
-	}
-	if _, err := NewNode(0, stack, "127.0.0.1:0", make([]string, 2), WithMailbox(0)); err == nil {
-		t.Fatal("zero mailbox accepted")
-	}
-	if _, err := NewNode(0, stack, "127.0.0.1:0", make([]string, 2), WithDialBackoff(time.Second, time.Millisecond)); err == nil {
+	if _, err := NewNode(0, stack, "127.0.0.1:0", make([]string, 2), withDialBackoff(time.Second, time.Millisecond)); err == nil {
 		t.Fatal("inverted backoff accepted")
-	}
-	if _, err := NewCluster(nil); err == nil {
-		t.Fatal("empty cluster accepted")
 	}
 	if _, err := NewHost(HostConfig{Self: 7, Peers: make([]string, 2)}, []core.Stack{stack, stack}); err == nil {
 		t.Fatal("out-of-range host self accepted")

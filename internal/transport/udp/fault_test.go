@@ -63,7 +63,7 @@ func TestPIFOverUDPUnderFaultPlan(t *testing.T) {
 		t.Fatal("broadcast over UDP did not survive the fault plan")
 	}
 	var agg core.FaultStats
-	for _, s := range c.NodeStats() {
+	for _, s := range c.TransportStats() {
 		agg.Add(s.Faults)
 	}
 	if agg.Total() == 0 {
@@ -93,7 +93,7 @@ func TestCrashRestartWindowOverUDP(t *testing.T) {
 	if !ok {
 		t.Fatal("broadcast did not complete after the crash window")
 	}
-	if c.nodes[1].Stats().Faults.CrashDrops == 0 {
+	if c.TransportStats()[1].Faults.CrashDrops == 0 {
 		t.Fatal("no arrivals were consumed during the crash window")
 	}
 }

@@ -11,21 +11,21 @@ import "net/netip"
 
 type mmsgState struct{}
 
-func (n *Node) initTransportIO() {}
+func (mv *mover) initTransportIO() {}
 
-func (n *Node) sendFrames(buf []byte, frames []frameRef) {
-	n.sendFramesLoop(buf, frames)
+func (mv *mover) sendFrames(buf []byte, frames []frameRef) {
+	mv.sendFramesLoop(buf, frames)
 }
 
 type reader struct {
-	n   *Node
+	mv  *mover
 	buf []byte
 }
 
-func (n *Node) newReader() *reader {
-	return &reader{n: n, buf: make([]byte, 64*1024)}
+func (mv *mover) newReader() *reader {
+	return &reader{mv: mv, buf: make([]byte, 64*1024)}
 }
 
 func (r *reader) read(h func([]byte, netip.AddrPort)) {
-	r.n.readPortable(r.buf, h)
+	r.mv.readPortable(r.buf, h)
 }

@@ -1,68 +1,26 @@
-// Package udp runs protocol stacks over real UDP sockets — the paper's
-// concluding challenge ("actually implementing them is a future
-// challenge") made concrete on the loopback interface or a LAN.
+// Package udp is the datagram mover under the shared node engine
+// (internal/transport/engine, DESIGN.md §7): it runs protocol stacks over
+// real UDP sockets — the paper's concluding challenge ("actually
+// implementing them is a future challenge") made concrete on the
+// loopback interface or a LAN.
 //
-// # Channel semantics on UDP
+// UDP already provides the model's unreliability; the capacity bound
+// Theorem 1 requires is restored by the engine's bounded mailboxes plus a
+// capped socket receive buffer, and stacks must be built with a bound
+// covering both (DefaultAssumedCapacity; the flag domain grows linearly
+// in it, so being conservative is cheap).
 //
-// UDP already provides the model's unreliability: datagrams are dropped
-// under congestion and (on one pair, one path) are not reordered in
-// practice on loopback/LAN. What UDP does not provide is the KNOWN
-// capacity bound that Theorem 1 makes mandatory. The transport restores
-// it conservatively:
-//
-//   - each (group, sender, instance) triple gets a bounded mailbox at
-//     the receiver; a message arriving at a full mailbox is dropped
-//     (lose-on-full, the model's rule) and reported as core.EvLose — a
-//     receive-side loss, distinct from the sender-side core.EvSendLost;
-//   - the socket receive buffer is capped, bounding the kernel-queued
-//     backlog; the protocol stacks must be built with a capacity bound
-//     covering mailbox + kernel backlog. AssumedCapacity reports the
-//     bound a stack should use (the flag domain grows linearly in it, so
-//     being conservative is cheap: 2c+2 flag values for bound c).
-//
-// # Batched datagrams (wire v3)
-//
-// Outbound messages are coalesced per (destination, group) into wire v3
-// batch frames and flushed at the end of every atomic section (a Step
-// round, a mailbox drain, a Do body), when a batch reaches WithBatch
-// messages or the datagram budget, and on the sweep tick as a deadline.
-// Flushing hands all pending frames — across destinations — to the
-// kernel in one sendmmsg call where the platform supports it (Linux
+// Outbound messages coalesce per (destination, group) into wire v3 batch
+// frames, flushed at the end of every atomic section and when a batch
+// reaches WithBatch messages or the datagram budget; a flush hands every
+// pending frame to one sendmmsg where the platform supports it (Linux
 // amd64/arm64; elsewhere a portable write loop), and the receive loop
-// pulls multiple datagrams per recvmmsg. One syscall therefore moves
-// many protocol messages in both directions; Stats separates message
-// counts from datagram and syscall counts so the amortization is
-// observable. With WithBatch(1) every message is written immediately in
-// its own datagram and default-group traffic keeps the bare wire v1/v2
-// framing, byte-compatible with pre-v3 peers.
-//
-// # Groups: many clusters, one socket
-//
-// A Node hosts one or more groups, each an independent protocol stack
-// with its own routes, observers, topology, and fault plan, all sharing
-// the node's socket and loops. The wire v3 group id routes every
-// received message to its group's mailboxes. The legacy constructor
-// installs its stack as group 0; Mux attaches further clusters with
-// fresh group ids (see mux.go).
-//
-// # Concurrency structure
-//
-// Two goroutines per node, coupled only through the double-buffered
-// mailboxes (DESIGN.md §7): the receive loop appends decoded messages
-// under the mailbox lock and signals a wakeup channel; the activation
-// loop swaps the whole mailbox map out under that lock, then delivers
-// the batch — and performs any resulting sends — under the action mutex
-// only. A blocking send therefore never stalls the receive loop, and
-// mailbox handoff costs one pointer swap per batch regardless of how
-// many messages arrived.
-//
-// The fault plane acts per logical message, never per datagram: every
-// message decoded out of a batch passes its group's injector
-// individually before it is boxed, so §9 semantics and seed
-// reproducibility are independent of how messages were packed on the
-// wire. Malformed datagrams fail wire.DecodeBatch and are dropped whole
-// — in the model, that is just the loss of the messages they carried,
-// which the protocols tolerate by design.
+// pulls many datagrams per recvmmsg (DESIGN.md §13). With WithBatch(1)
+// default-group traffic keeps the bare wire v1/v2 framing, byte-
+// compatible with pre-v3 peers. The receive loop looks each datagram's
+// sender up by source address and hands the decoded messages to the
+// engine; a malformed datagram is dropped whole — the loss of the
+// messages it carried, which the protocols tolerate by design.
 package udp
 
 import (
@@ -70,11 +28,9 @@ import (
 	"net"
 	"net/netip"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"github.com/snapstab/snapstab/internal/core"
-	"github.com/snapstab/snapstab/internal/rng"
+	"github.com/snapstab/snapstab/internal/transport/engine"
 	"github.com/snapstab/snapstab/internal/wire"
 )
 
@@ -96,306 +52,64 @@ const (
 	flushCut       = wire.MaxDatagram - maxRecordBytes
 )
 
-// Option configures a Node.
-type Option func(*Node)
+// udpFaultSalt namespaces this substrate's injector seeds within the
+// plan's rng.Mix hierarchy (sim, runtime, and tcp use their own salts).
+const udpFaultSalt = 0x53
 
-// WithMailbox sets the per-(sender, instance) mailbox size. The default
-// scales with the batch ceiling — 2×WithBatch slots, so one full
-// inbound batch never mass-drops at a quiet mailbox — and is 8 when
-// batching is disabled (WithBatch(1)).
-func WithMailbox(slots int) Option {
-	return func(n *Node) { n.mailboxSlots, n.mailboxSet = slots, true }
-}
-
-// WithTick sets the fallback mailbox sweep interval (default 1ms).
-// Mailbox drains are notification-driven — the receive loop wakes the
-// activation loop as soon as a datagram is boxed — so the periodic sweep
-// is only a safety net; it also bounds how long a coalesced send can sit
-// unflushed (the batching deadline).
-func WithTick(d time.Duration) Option {
-	return func(n *Node) { n.tick = d }
-}
-
-// WithStepInterval sets the pacing of internal protocol actions (default
-// 2ms). Action A2 retransmits on every activation, so this is the
-// retransmission interval; unpaced retransmission floods the path and the
-// queueing delay stalls the handshake (deliveries, by contrast, are
-// event-driven and unpaced).
-func WithStepInterval(d time.Duration) Option {
-	return func(n *Node) { n.stepInterval = d }
-}
+// Option configures a Node; see the engine's options. WithObserver,
+// WithTopology, and WithFaults configure the default group, or a
+// cluster attached to a Mux.
+type Option = engine.Option
 
 // WithBatch sets the maximum number of messages coalesced into one
 // datagram (default DefaultBatch; ceiling wire.MaxBatch). Batches also
-// flush at the end of every atomic section and on the sweep tick, so
-// raising the ceiling never delays a message past the tick. WithBatch(1)
-// disables coalescing entirely: every message is written immediately in
-// its own datagram and default-group traffic uses the bare wire v1/v2
-// framing, byte-compatible with peers that predate the v3 batch frame.
-func WithBatch(k int) Option {
-	return func(n *Node) { n.batchMsgs, n.batchSet = k, true }
-}
+// flush at the end of every atomic section, so raising the ceiling never
+// delays a message past the section that sent it. WithBatch(1) disables
+// coalescing entirely: every message is written immediately in its own
+// datagram and default-group traffic uses the bare wire v1/v2 framing,
+// byte-compatible with peers that predate the v3 batch frame.
+func WithBatch(k int) Option { return engine.WithBatch(k) }
 
-// WithObserver subscribes an event observer. Callbacks arrive
-// concurrently from the receive loop (mailbox-full EvLose) and the
-// activation loop (everything else), so the observer must be
-// goroutine-safe.
-func WithObserver(o core.Observer) Option {
-	return func(n *Node) { n.obs0 = append(n.obs0, o) }
-}
+// WithObserver subscribes a goroutine-safe event observer; see
+// engine.WithObserver.
+func WithObserver(ob core.Observer) Option { return engine.WithObserver(ob) }
 
-// WithTopology declares the communication graph the node's default group
-// belongs to: sends to non-neighbours are dropped (and counted) at the
-// sender even if an address is wired, messages from non-neighbours are
-// rejected at the receiver, and the installed fault plan is validated
-// against the edge set. NewCluster additionally uses it to wire only
-// neighbour addresses. The default (nil) is the complete graph.
-func WithTopology(t *core.Topology) Option {
-	return func(n *Node) { n.topo0 = t }
-}
+// WithTopology declares the default group's communication graph; see
+// engine.WithTopology.
+func WithTopology(t *core.Topology) Option { return engine.WithTopology(t) }
 
-// udpFaultSalt namespaces this substrate's injector seeds within the
-// plan's rng.Mix hierarchy (sim and runtime use their own salts).
-const udpFaultSalt = 0x53
-
-// WithFaults installs a fault-injection plan (see core.FaultPlan) on the
-// node's default group, interposed at the mailbox boundary: every
-// decoded message from a known peer — individually, regardless of how
-// messages were batched into datagrams — passes the group's injector
-// before it is boxed, which may drop, duplicate, corrupt, reorder, or
-// delay it, honor partition windows, and silence the group inside crash
-// windows (no internal actions, no mailbox drains, arrivals consumed).
-// The injector is owned by the receive loop and seeded
-// rng.Mix(plan.Seed, salt, self); schedule windows are measured in
-// plan.Unit ticks of wall time from Start. UDP's natural losses compose
-// underneath the plan, exactly as on a real adversarial network.
-func WithFaults(plan *core.FaultPlan) Option {
-	return func(n *Node) { n.fault0 = plan }
-}
-
-// group is one protocol stack hosted on a node: an independent cluster
-// member with its own routing, observers, topology, fault plane, and
-// message counters, multiplexed with its siblings over the node's
-// socket by the wire v3 group id.
-type group struct {
-	id        uint64
-	stack     core.Stack
-	routes    map[string]core.Machine
-	topo      *core.Topology
-	observers core.MultiObserver
-	fault     *core.FaultPlan
-	inj       *core.Injector // owned by recvLoop; counters readable anywhere
-	faultUnit time.Duration
-	epoch     time.Time // fault-schedule tick zero; set before the group is visible to the loops
-
-	sends        atomic.Int64
-	recvs        atomic.Int64
-	sendDrops    atomic.Int64
-	mailboxDrops atomic.Int64
-}
-
-func (g *group) emit(ev core.Event) {
-	if len(g.observers) > 0 {
-		g.observers.OnEvent(ev)
-	}
-}
-
-// now returns the group's fault-schedule tick: wall time since its epoch
-// in plan.Unit ticks. Only meaningful when a fault plan is installed.
-func (g *group) now() int64 {
-	return int64(time.Since(g.epoch) / g.faultUnit)
-}
-
-// down reports whether the group is inside a crash window for self.
-func (g *group) down(self core.ProcID) bool {
-	return g.fault != nil && g.fault.Down(self, g.now())
-}
-
-// buildGroup assembles and validates one hosted group.
-func buildGroup(id uint64, stack core.Stack, topo *core.Topology, plan *core.FaultPlan,
-	obs core.MultiObserver, nProcs int, self core.ProcID) (*group, error) {
-	if topo != nil && topo.N() != nProcs {
-		return nil, fmt.Errorf("udp: topology over %d processes, %d peers", topo.N(), nProcs)
-	}
-	g := &group{
-		id:        id,
-		stack:     stack,
-		routes:    stack.ByInstance(),
-		topo:      topo,
-		observers: obs,
-		fault:     plan,
-	}
-	if plan != nil {
-		if err := plan.Validate(); err != nil {
-			return nil, fmt.Errorf("udp: %w", err)
-		}
-		if err := plan.ValidateTopology(topo); err != nil {
-			return nil, fmt.Errorf("udp: %w", err)
-		}
-		g.faultUnit = plan.TickUnit()
-		seed := rng.Mix(plan.Seed, udpFaultSalt, uint64(self))
-		if id != 0 {
-			// Extra groups get distinct injector streams; group 0 keeps the
-			// exact legacy seeding so recorded runs stay reproducible.
-			seed = rng.Mix(plan.Seed, udpFaultSalt, uint64(self), id)
-		}
-		g.inj = core.NewInjector(plan, rng.New(seed))
-	}
-	return g, nil
-}
-
-// groupSet is the copy-on-write view of a node's hosted groups, swapped
-// atomically so the loops read it without locks.
-type groupSet struct {
-	byID map[uint64]*group
-	list []*group
-}
+// WithFaults installs a fault-injection plan on the default group; see
+// engine.WithFaults. UDP's natural losses compose underneath the plan.
+func WithFaults(plan *core.FaultPlan) Option { return engine.WithFaults(plan) }
 
 // Node is one process bound to a UDP socket, hosting one or more groups.
+// The engine's methods — Start, Stop, Do, Await, Stats — are promoted.
 type Node struct {
-	self         core.ProcID
-	conn         *net.UDPConn
-	peers        []*net.UDPAddr
-	senders      map[netip.AddrPort]core.ProcID // canonical ip:port -> peer, built at Start
-	mailboxSlots int
-	mailboxSet   bool
-	tick         time.Duration
-	stepInterval time.Duration
-	batchMsgs    int
-	batchSet     bool
+	*engine.Node
+	mv *mover
+}
 
-	// Group-0 staging, written by options and consumed by NewNode; a
-	// mux-hosted node (nil stack) must not carry any of these.
-	topo0  *core.Topology
-	fault0 *core.FaultPlan
-	obs0   core.MultiObserver
+// mover is the UDP frame mover under one engine node.
+type mover struct {
+	e       *engine.Node
+	self    core.ProcID
+	conn    *net.UDPConn
+	peers   []*net.UDPAddr
+	senders map[netip.AddrPort]core.ProcID // canonical ip:port -> peer, built at Start
+	batch   int
 
-	g0 *group // the default group (nil on mux-hosted nodes)
-
-	gmu    sync.Mutex // serializes attach/detach
-	groups atomic.Pointer[groupSet]
-
-	// mu is the action mutex: it makes stack actions (Step, Deliver, Do)
-	// atomic. Socket writes happen under it — never under mbMu — so a
-	// blocking send cannot stall the receive loop. The pending outbound
-	// batches live under it too; every atomic section flushes them on
-	// exit.
-	mu      sync.Mutex
-	sendBuf []byte // flush scratch: rendered frames, guarded by mu
+	// Outbound batches, guarded by the engine's action mutex: every
+	// atomic section flushes them on exit.
+	sendBuf []byte // flush scratch: rendered frames
 	frames  []frameRef
 	pending map[sendKey]*outBatch
 	queue   []*outBatch // pending in insertion order
 	free    []*outBatch
 
-	// mbMu guards the double-buffered mailboxes and is never held across
-	// socket operations or protocol actions.
-	mbMu      sync.Mutex
-	mailboxes map[mailKey][]core.Message // filled by recvLoop
-	spare     map[mailKey][]core.Message // drained buffer, swapped in by actLoop
-	boxed     int                        // messages currently in mailboxes
-	mail      chan struct{}              // capacity 1: drain wakeup
-
-	sendDatagrams atomic.Int64
-	sendSyscalls  atomic.Int64
-	recvDatagrams atomic.Int64
-	recvSyscalls  atomic.Int64
-
-	decMsgs []core.Message // recvLoop-owned decode scratch
+	decMsgs []core.Message // receive-loop-owned decode scratch
 
 	mm mmsgState // platform batch-IO state (see mmsg_*.go)
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	wg       sync.WaitGroup
-}
-
-// Stats counts transport-level events, mirroring sim.Stats where the model
-// concepts coincide. All counters are safe to read concurrently with the
-// node's loops. The message counters (Sends, Recvs, SendDrops,
-// MailboxDrops, Faults) belong to the node's default group; the datagram
-// and syscall counters are per-socket and therefore shared by every
-// group the node hosts.
-type Stats struct {
-	// Sends counts messages successfully handed to the socket (inside a
-	// datagram whose write succeeded).
-	Sends int64
-	// Recvs counts messages accepted into a mailbox (received from a
-	// known peer, surviving the fault plane, not dropped on full).
-	Recvs int64
-	// SendDrops counts messages lost at the sender — failed writes and
-	// unencodable payloads. The simulator's analogue is
-	// sim.Stats.SendLosses; without this counter a misconfigured or
-	// saturated transport is indistinguishable from fair loss.
-	SendDrops int64
-	// MailboxDrops counts messages dropped at a full receive mailbox,
-	// the transport's lose-on-full rule (reported as core.EvLose: the
-	// message was in transit and was lost at the receiver).
-	MailboxDrops int64
-	// SendDatagrams and RecvDatagrams count datagrams on the socket;
-	// Sends/SendDatagrams is the outbound batch occupancy.
-	SendDatagrams int64
-	RecvDatagrams int64
-	// SendSyscalls and RecvSyscalls count the socket system calls that
-	// moved those datagrams; sendmmsg/recvmmsg make them smaller than
-	// the datagram counts, and Sends/SendSyscalls is the syscall
-	// amortization the batching path exists to maximize.
-	SendSyscalls int64
-	RecvSyscalls int64
-	// Faults counts the faults injected at this group's mailbox boundary
-	// by the installed FaultPlan (WithFaults); zero without one. Injected
-	// drops are not folded into MailboxDrops, so injected adversity stays
-	// distinguishable from genuine backpressure.
-	Faults core.FaultStats
-}
-
-// Stats returns a snapshot of the transport counters for the default
-// group (plus the socket-wide datagram/syscall counters).
-func (n *Node) Stats() Stats {
-	if n.g0 != nil {
-		return n.groupStats(n.g0)
-	}
-	return n.groupStats(&group{})
-}
-
-func (n *Node) groupStats(g *group) Stats {
-	s := Stats{
-		Sends:         g.sends.Load(),
-		Recvs:         g.recvs.Load(),
-		SendDrops:     g.sendDrops.Load(),
-		MailboxDrops:  g.mailboxDrops.Load(),
-		SendDatagrams: n.sendDatagrams.Load(),
-		RecvDatagrams: n.recvDatagrams.Load(),
-		SendSyscalls:  n.sendSyscalls.Load(),
-		RecvSyscalls:  n.recvSyscalls.Load(),
-	}
-	if g.inj != nil {
-		s.Faults = g.inj.Stats()
-	}
-	return s
-}
-
-// transportStats assembles the substrate-agnostic snapshot for one
-// hosted group.
-func (n *Node) transportStats(g *group) core.TransportStats {
-	s := n.groupStats(g)
-	return core.TransportStats{
-		Addr:          n.Addr(),
-		Sends:         s.Sends,
-		Recvs:         s.Recvs,
-		SendDrops:     s.SendDrops,
-		MailboxDrops:  s.MailboxDrops,
-		SendDatagrams: s.SendDatagrams,
-		RecvDatagrams: s.RecvDatagrams,
-		SendSyscalls:  s.SendSyscalls,
-		RecvSyscalls:  s.RecvSyscalls,
-		Faults:        s.Faults,
-	}
-}
-
-type mailKey struct {
-	gid      uint64
-	from     core.ProcID
-	instance string
+	wg sync.WaitGroup
 }
 
 // sendKey addresses one pending outbound batch.
@@ -406,10 +120,9 @@ type sendKey struct {
 
 // outBatch is one coalesced datagram under construction.
 type outBatch struct {
-	to   core.ProcID
-	g    *group
-	b    wire.BatchBuilder
-	live bool
+	to core.ProcID
+	g  *engine.Group
+	b  wire.BatchBuilder
 }
 
 // frameRef locates one rendered datagram in the flush buffer, with the
@@ -417,7 +130,7 @@ type outBatch struct {
 type frameRef struct {
 	off, len int
 	to       core.ProcID
-	g        *group
+	g        *engine.Group
 	count    int
 }
 
@@ -428,6 +141,22 @@ type frameRef struct {
 func NewNode(self core.ProcID, stack core.Stack, laddr string, peers []string, opts ...Option) (*Node, error) {
 	if int(self) >= len(peers) {
 		return nil, fmt.Errorf("udp: self %d outside peer list of %d", self, len(peers))
+	}
+	o := engine.Apply(opts)
+	if o.Batch == 0 {
+		o.Batch = DefaultBatch
+	}
+	if o.Batch < 1 || o.Batch > wire.MaxBatch {
+		return nil, fmt.Errorf("udp: invalid batch size %d", o.Batch)
+	}
+	if o.Mailbox == 0 {
+		// A full inbound batch lands in one (group, sender, instance)
+		// mailbox; give it headroom so batching does not mass-drop at a
+		// momentarily quiet receiver.
+		o.Mailbox = 8
+		if o.Batch > 1 {
+			o.Mailbox = 2 * o.Batch
+		}
 	}
 	addr, err := net.ResolveUDPAddr("udp", laddr)
 	if err != nil {
@@ -441,17 +170,13 @@ func NewNode(self core.ProcID, stack core.Stack, laddr string, peers []string, o
 	// the assumed capacity (best effort; some platforms round up).
 	_ = conn.SetReadBuffer(64 * 1024)
 
-	n := &Node{
-		self:      self,
-		conn:      conn,
-		peers:     make([]*net.UDPAddr, len(peers)),
-		mailboxes: make(map[mailKey][]core.Message),
-		spare:     make(map[mailKey][]core.Message),
-		pending:   make(map[sendKey]*outBatch),
-		mail:      make(chan struct{}, 1),
-		stop:      make(chan struct{}),
+	mv := &mover{
+		self:    self,
+		conn:    conn,
+		peers:   make([]*net.UDPAddr, len(peers)),
+		batch:   o.Batch,
+		pending: make(map[sendKey]*outBatch),
 	}
-	n.groups.Store(&groupSet{byID: map[uint64]*group{}})
 	for i, p := range peers {
 		if core.ProcID(i) == self {
 			continue
@@ -461,265 +186,156 @@ func NewNode(self core.ProcID, stack core.Stack, laddr string, peers []string, o
 			conn.Close()
 			return nil, fmt.Errorf("udp: resolve peer %d %q: %w", i, p, err)
 		}
-		n.peers[i] = a
+		mv.peers[i] = a
 	}
-	for _, opt := range opts {
-		opt(n)
-	}
-	if n.batchSet && (n.batchMsgs < 1 || n.batchMsgs > wire.MaxBatch) {
-		conn.Close()
-		return nil, fmt.Errorf("udp: invalid batch size %d", n.batchMsgs)
-	}
-	if !n.batchSet {
-		n.batchMsgs = DefaultBatch
-	}
-	if n.mailboxSet && n.mailboxSlots < 1 {
-		conn.Close()
-		return nil, fmt.Errorf("udp: invalid mailbox size %d", n.mailboxSlots)
-	}
-	if !n.mailboxSet {
-		// A full inbound batch lands in one (group, sender, instance)
-		// mailbox; give it headroom so batching does not mass-drop at a
-		// momentarily quiet receiver.
-		if n.batchMsgs > 1 {
-			n.mailboxSlots = 2 * n.batchMsgs
-		} else {
-			n.mailboxSlots = 8
-		}
-	}
-	if n.tick <= 0 {
-		n.tick = time.Millisecond
-	}
-	if n.stepInterval <= 0 {
-		n.stepInterval = 2 * time.Millisecond
-	}
-	if stack == nil {
-		if n.topo0 != nil || n.fault0 != nil || len(n.obs0) > 0 {
-			conn.Close()
-			return nil, fmt.Errorf("udp: group option on a node with no default group")
-		}
-		return n, nil
-	}
-	g, err := buildGroup(0, stack, n.topo0, n.fault0, n.obs0, len(peers), self)
+	mv.e, err = engine.New(engine.Config{
+		Name: "udp", Self: self, N: len(peers), Mailbox: o.Mailbox, FaultSalt: udpFaultSalt,
+	}, mv, stack, o.Group)
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
-	n.g0 = g
-	n.addGroup(g)
-	return n, nil
+	return &Node{Node: mv.e, mv: mv}, nil
 }
-
-// addGroup publishes g to the loops (copy-on-write).
-func (n *Node) addGroup(g *group) {
-	n.gmu.Lock()
-	defer n.gmu.Unlock()
-	old := n.groups.Load()
-	gs := &groupSet{byID: make(map[uint64]*group, len(old.byID)+1)}
-	for id, og := range old.byID {
-		gs.byID[id] = og
-	}
-	gs.byID[g.id] = g
-	gs.list = make([]*group, 0, len(gs.byID))
-	for _, og := range gs.byID {
-		gs.list = append(gs.list, og)
-	}
-	n.groups.Store(gs)
-}
-
-// removeGroup detaches group id; its boxed mail is discarded on the next
-// drain and inbound datagrams for it are dropped.
-func (n *Node) removeGroup(id uint64) {
-	n.gmu.Lock()
-	defer n.gmu.Unlock()
-	old := n.groups.Load()
-	if _, ok := old.byID[id]; !ok {
-		return
-	}
-	gs := &groupSet{byID: make(map[uint64]*group, len(old.byID)-1)}
-	for gid, og := range old.byID {
-		if gid != id {
-			gs.byID[gid] = og
-		}
-	}
-	gs.list = make([]*group, 0, len(gs.byID))
-	for _, og := range gs.byID {
-		gs.list = append(gs.list, og)
-	}
-	n.groups.Store(gs)
-}
-
-// Addr returns the bound local address (useful with port 0).
-func (n *Node) Addr() string { return n.conn.LocalAddr().String() }
 
 // SetPeer sets the address of peer id after construction, enabling
 // two-phase setup: bind every socket with port 0 first, then wire the
 // learned addresses. Must be called before Start.
-func (n *Node) SetPeer(id core.ProcID, addr *net.UDPAddr) { n.peers[id] = addr }
+func (n *Node) SetPeer(id core.ProcID, addr *net.UDPAddr) { n.mv.peers[id] = addr }
 
-// env implements core.Env for one group; use only under n.mu.
-type env struct {
-	n *Node
-	g *group
+func (mv *mover) Addr() string { return mv.conn.LocalAddr().String() }
+
+func (mv *mover) SetPeerAddr(id core.ProcID, addr string) error {
+	a, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		return fmt.Errorf("udp: resolve peer %d %q: %w", id, addr, err)
+	}
+	mv.peers[id] = a
+	return nil
 }
 
-func (v env) Self() core.ProcID { return v.n.self }
-func (v env) N() int            { return len(v.n.peers) }
-
-func (v env) Send(to core.ProcID, m core.Message) {
-	n, g := v.n, v.g
-	if g.topo != nil && !g.topo.HasEdge(n.self, to) {
-		// Not a neighbour under the topology: no channel exists, the send
-		// vanishes at the sender (and is counted, unlike an unwired peer).
-		g.sendDrops.Add(1)
-		g.emit(core.Event{Kind: core.EvSendLost, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m, Note: "no edge"})
+// Send coalesces m into the pending batch for (to, g). Runs under the
+// engine's action mutex.
+func (mv *mover) Send(g *engine.Group, to core.ProcID, m core.Message) {
+	if mv.peers[to] == nil {
 		return
 	}
-	if n.peers[to] == nil {
-		return
-	}
-	ob := n.outFor(to, g)
+	ob := mv.outFor(to, g)
 	if ob.b.Count() > 0 && ob.b.Size() > flushCut {
 		// The next record could overflow the datagram: ship what we have.
-		n.flushBatch(ob)
-		ob = n.outFor(to, g)
+		mv.flushBatch(ob)
+		ob = mv.outFor(to, g)
 	}
 	if err := ob.b.Add(m); err != nil {
 		// Unencodable payloads are dropped: message loss, but counted so
 		// the loss is observable.
-		g.sendDrops.Add(1)
-		g.emit(core.Event{Kind: core.EvSendLost, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m})
+		mv.e.SendLost(g, to, m, "")
 		return
 	}
 	// The send event fires at enqueue so observers see protocol order;
 	// the Sends counter increments at the write, when the datagram
 	// actually left.
-	g.emit(core.Event{Kind: core.EvSend, Proc: n.self, Peer: to, Instance: m.Instance, Msg: m})
-	if ob.b.Count() >= n.batchMsgs {
-		n.flushBatch(ob)
+	mv.e.EmitSend(g, to, m)
+	if ob.b.Count() >= mv.batch {
+		mv.flushBatch(ob)
 	}
-}
-
-func (v env) Emit(ev core.Event) {
-	ev.Proc = v.n.self
-	v.g.emit(ev)
 }
 
 // outFor returns the pending batch for (to, g), creating one from the
-// free list if needed. Callers hold n.mu.
-func (n *Node) outFor(to core.ProcID, g *group) *outBatch {
-	k := sendKey{to: to, gid: g.id}
-	if ob := n.pending[k]; ob != nil {
+// free list if needed.
+func (mv *mover) outFor(to core.ProcID, g *engine.Group) *outBatch {
+	k := sendKey{to: to, gid: g.ID()}
+	if ob := mv.pending[k]; ob != nil {
 		return ob
 	}
 	var ob *outBatch
-	if len(n.free) > 0 {
-		ob = n.free[len(n.free)-1]
-		n.free = n.free[:len(n.free)-1]
+	if len(mv.free) > 0 {
+		ob = mv.free[len(mv.free)-1]
+		mv.free = mv.free[:len(mv.free)-1]
 	} else {
 		ob = new(outBatch)
 	}
-	ob.to, ob.g, ob.live = to, g, true
-	ob.b.Reset(g.id)
-	n.pending[k] = ob
-	n.queue = append(n.queue, ob)
+	ob.to, ob.g = to, g
+	ob.b.Reset(g.ID())
+	mv.pending[k] = ob
+	mv.queue = append(mv.queue, ob)
 	return ob
 }
 
 // flushBatch renders and writes one pending batch immediately (count or
-// size threshold reached). Callers hold n.mu.
-func (n *Node) flushBatch(ob *outBatch) {
-	n.sendBuf = ob.b.AppendFrame(n.sendBuf[:0])
-	n.frames = append(n.frames[:0], frameRef{
-		off: 0, len: len(n.sendBuf), to: ob.to, g: ob.g, count: ob.b.Count(),
+// size threshold reached); the emptied batch stays pending.
+func (mv *mover) flushBatch(ob *outBatch) {
+	mv.sendBuf = ob.b.AppendFrame(mv.sendBuf[:0])
+	mv.frames = append(mv.frames[:0], frameRef{
+		off: 0, len: len(mv.sendBuf), to: ob.to, g: ob.g, count: ob.b.Count(),
 	})
-	n.retire(ob)
-	n.sendFrames(n.sendBuf, n.frames)
+	ob.b.Reset(ob.g.ID())
+	mv.sendFrames(mv.sendBuf, mv.frames)
 }
 
-// flushAll renders every pending batch into the flush buffer and hands
-// the lot to the kernel — one sendmmsg covering all destinations where
-// the platform allows. Called at the end of every atomic section and on
-// the sweep tick. Callers hold n.mu.
-func (n *Node) flushAll() {
-	if len(n.queue) == 0 {
+// Flush renders every pending batch into the flush buffer and hands the
+// lot to the kernel — one sendmmsg covering all destinations where the
+// platform allows. The engine calls it at the end of every atomic
+// section.
+func (mv *mover) Flush() {
+	if len(mv.queue) == 0 {
 		return
 	}
-	n.sendBuf = n.sendBuf[:0]
-	n.frames = n.frames[:0]
-	for _, ob := range n.queue {
-		if !ob.live || ob.b.Count() == 0 {
-			if ob.live {
-				n.retirePending(ob)
-			}
-			ob.live = false
-			n.free = append(n.free, ob)
-			continue
+	mv.sendBuf = mv.sendBuf[:0]
+	mv.frames = mv.frames[:0]
+	for _, ob := range mv.queue {
+		if ob.b.Count() > 0 {
+			off := len(mv.sendBuf)
+			mv.sendBuf = ob.b.AppendFrame(mv.sendBuf)
+			mv.frames = append(mv.frames, frameRef{
+				off: off, len: len(mv.sendBuf) - off, to: ob.to, g: ob.g, count: ob.b.Count(),
+			})
 		}
-		off := len(n.sendBuf)
-		n.sendBuf = ob.b.AppendFrame(n.sendBuf)
-		n.frames = append(n.frames, frameRef{
-			off: off, len: len(n.sendBuf) - off, to: ob.to, g: ob.g, count: ob.b.Count(),
-		})
-		n.retirePending(ob)
-		ob.live = false
-		n.free = append(n.free, ob)
+		delete(mv.pending, sendKey{to: ob.to, gid: ob.g.ID()})
+		mv.free = append(mv.free, ob)
 	}
-	n.queue = n.queue[:0]
-	if len(n.frames) > 0 {
-		n.sendFrames(n.sendBuf, n.frames)
+	mv.queue = mv.queue[:0]
+	if len(mv.frames) > 0 {
+		mv.sendFrames(mv.sendBuf, mv.frames)
 	}
-}
-
-// retire removes a threshold-flushed batch from the pending map; it
-// stays in the queue as a dead entry that flushAll recycles.
-func (n *Node) retire(ob *outBatch) {
-	n.retirePending(ob)
-	ob.live = false
-}
-
-func (n *Node) retirePending(ob *outBatch) {
-	delete(n.pending, sendKey{to: ob.to, gid: ob.g.id})
 }
 
 // frameFailed accounts one datagram the kernel refused: every message it
-// carried is a sender-side loss.
-func (n *Node) frameFailed(fr frameRef) {
-	fr.g.sendDrops.Add(int64(fr.count))
+// carried is a sender-side loss. The coalesced messages are not retained
+// past encoding, so the loss events carry the link, not the body.
+func (mv *mover) frameFailed(fr frameRef) {
 	for i := 0; i < fr.count; i++ {
-		// The coalesced messages are not retained past encoding, so the
-		// loss events carry the link, not the message body.
-		fr.g.emit(core.Event{Kind: core.EvSendLost, Proc: n.self, Peer: fr.to, Note: "batched write failed"})
+		mv.e.SendLost(fr.g, fr.to, core.Message{}, "batched write failed")
 	}
 }
 
 // frameSent accounts one datagram the kernel accepted.
-func (n *Node) frameSent(fr frameRef) {
-	fr.g.sends.Add(int64(fr.count))
-	n.sendDatagrams.Add(1)
+func (mv *mover) frameSent(fr frameRef) {
+	mv.e.Sent(fr.g, fr.to, fr.count)
+	mv.e.IO.SendFrames.Add(1)
 }
 
 // sendFramesLoop is the portable writer: one sendto per frame. The
 // Linux batch path falls back to it when raw access is unavailable.
-func (n *Node) sendFramesLoop(buf []byte, frames []frameRef) {
+func (mv *mover) sendFramesLoop(buf []byte, frames []frameRef) {
 	for _, fr := range frames {
-		n.sendSyscalls.Add(1)
-		if _, err := n.conn.WriteToUDP(buf[fr.off:fr.off+fr.len], n.peers[fr.to]); err != nil {
-			n.frameFailed(fr)
+		mv.e.IO.SendSyscalls.Add(1)
+		if _, err := mv.conn.WriteToUDP(buf[fr.off:fr.off+fr.len], mv.peers[fr.to]); err != nil {
+			mv.frameFailed(fr)
 			continue
 		}
-		n.frameSent(fr)
+		mv.frameSent(fr)
 	}
 }
 
 // readPortable is the portable reader: one datagram per recvfrom.
-func (n *Node) readPortable(buf []byte, h func([]byte, netip.AddrPort)) {
-	sz, from, err := n.conn.ReadFromUDPAddrPort(buf)
+func (mv *mover) readPortable(buf []byte, h func([]byte, netip.AddrPort)) {
+	sz, from, err := mv.conn.ReadFromUDPAddrPort(buf)
 	if err != nil {
-		return // timeout or transient error: try again
+		return // closed or transient error: the loop decides
 	}
-	n.recvSyscalls.Add(1)
-	n.recvDatagrams.Add(1)
+	mv.e.IO.RecvSyscalls.Add(1)
+	mv.e.IO.RecvFrames.Add(1)
 	h(buf[:sz], from)
 }
 
@@ -731,254 +347,90 @@ func canonical(ap netip.AddrPort) netip.AddrPort {
 }
 
 // Start builds the sender lookup table from the wired peers and launches
-// the receive and activation loops. Peers must not change after Start.
-func (n *Node) Start() {
-	epoch := time.Now() // fault-schedule tick zero
-	for _, g := range n.groups.Load().list {
-		g.epoch = epoch
-	}
-	n.senders = make(map[netip.AddrPort]core.ProcID, len(n.peers))
-	for i, p := range n.peers {
-		if p == nil || core.ProcID(i) == n.self {
+// the receive loop.
+func (mv *mover) Start() {
+	mv.senders = make(map[netip.AddrPort]core.ProcID, len(mv.peers))
+	for i, p := range mv.peers {
+		if p == nil || core.ProcID(i) == mv.self {
 			continue
 		}
-		n.senders[canonical(p.AddrPort())] = core.ProcID(i)
+		mv.senders[canonical(p.AddrPort())] = core.ProcID(i)
 	}
-	n.initTransportIO()
-	n.wg.Add(2)
-	go n.recvLoop()
-	go n.actLoop()
+	mv.initTransportIO()
+	mv.wg.Add(1)
+	go mv.recvLoop()
 }
 
-// recvLoop moves datagrams from the socket into the bounded mailboxes and
-// wakes the activation loop. It takes only the mailbox lock, so a stalled
-// activation loop (slow actions, blocking sends) cannot back it up into
-// kernel-buffer drops.
-func (n *Node) recvLoop() {
-	defer n.wg.Done()
-	r := n.newReader()
+// Close closes the socket, which unblocks the receive loop, and waits
+// for the loop to exit.
+func (mv *mover) Close() {
+	mv.conn.Close()
+	mv.wg.Wait()
+}
+
+// recvLoop moves datagrams from the socket into the engine's mailboxes.
+// It never takes the action mutex, so a stalled activation loop (slow
+// actions, blocking sends) cannot back it up into kernel-buffer drops.
+func (mv *mover) recvLoop() {
+	defer mv.wg.Done()
+	r := mv.newReader()
 	for {
 		select {
-		case <-n.stop:
+		case <-mv.e.Done():
 			return
 		default:
 		}
-		for _, g := range n.groups.Load().list {
-			if g.inj != nil {
-				// Surface expired delayed messages even on quiet links; the
-				// read deadline below bounds the flush latency.
-				for _, rel := range g.inj.Flush(g.now()) {
-					n.box(g, rel.From, rel.Msg)
-				}
-			}
-		}
-		_ = n.conn.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
-		r.read(n.handleDatagram)
+		r.read(mv.handleDatagram)
 	}
 }
 
-// handleDatagram decodes one datagram (any wire version) and pushes each
-// carried message through its group's fault plane into the mailboxes.
-// Runs on the receive loop.
-func (n *Node) handleDatagram(data []byte, from netip.AddrPort) {
-	gid, msgs, err := wire.DecodeBatch(n.decMsgs[:0], data)
+// handleDatagram decodes one datagram (any wire version) and hands its
+// messages to the engine as the known peer that sent it.
+func (mv *mover) handleDatagram(data []byte, from netip.AddrPort) {
+	gid, msgs, err := wire.DecodeBatch(mv.decMsgs[:0], data)
 	if err != nil {
 		return // malformed datagram: dropped whole (message loss)
 	}
-	n.decMsgs = msgs[:0] // keep the grown capacity for the next datagram
-	sender, ok := n.senders[canonical(from)]
+	mv.decMsgs = msgs[:0] // keep the grown capacity for the next datagram
+	sender, ok := mv.senders[canonical(from)]
 	if !ok {
 		return // not a known peer: dropped
 	}
-	g := n.groups.Load().byID[gid]
-	if g == nil {
-		return // no such group here (stale or stray traffic): dropped
-	}
-	if g.topo != nil && !g.topo.HasEdge(sender, n.self) {
-		return // not a neighbour in this group's graph: dropped
-	}
-	for _, m := range msgs {
-		if g.inj != nil {
-			// Per logical message, never per datagram: batching is
-			// invisible to the fault plane.
-			out, fate := g.inj.Filter(sender, n.self, m, g.now())
-			if fate == core.FateDrop {
-				g.emit(core.Event{Kind: core.EvLose, Proc: n.self, Peer: sender, Instance: m.Instance, Msg: m})
-			}
-			for _, dm := range out {
-				n.box(g, sender, dm)
-			}
-			continue
+	mv.e.Receive(sender, gid, msgs)
+}
+
+// Cluster is a set of UDP nodes on the loopback interface, one per
+// protocol stack, fully wired and started.
+type Cluster = engine.Cluster
+
+// MuxCluster is one cluster hosted on a Mux.
+type MuxCluster = engine.MuxCluster
+
+// NewCluster binds one loopback socket per stack, wires every node to
+// its neighbours, and starts them. The caller owns the cluster and must
+// Close it to release the sockets.
+func NewCluster(stacks []core.Stack, opts ...Option) (*Cluster, error) {
+	return engine.NewCluster("udp", stacks, bind(len(stacks), opts))
+}
+
+func bind(n int, opts []Option) engine.Bind {
+	return func(self core.ProcID, stack core.Stack) (*engine.Node, error) {
+		node, err := NewNode(self, stack, "127.0.0.1:0", make([]string, n), opts...)
+		if err != nil {
+			return nil, err
 		}
-		n.box(g, sender, m)
+		return node.Node, nil
 	}
 }
 
-// box appends one in-transit message to its bounded mailbox (the model's
-// lose-on-full rule applies) and wakes the activation loop.
-func (n *Node) box(g *group, sender core.ProcID, m core.Message) {
-	key := mailKey{gid: g.id, from: sender, instance: m.Instance}
-	n.mbMu.Lock()
-	b := n.mailboxes[key]
-	full := len(b) >= n.mailboxSlots
-	if !full {
-		n.mailboxes[key] = append(b, m)
-		n.boxed++
-	}
-	n.mbMu.Unlock()
-	if full {
-		// Lose-on-full: the message was in transit and is dropped at
-		// the receiver — the model's link loss, not a send failure.
-		g.mailboxDrops.Add(1)
-		g.emit(core.Event{Kind: core.EvLose, Proc: n.self, Peer: sender, Instance: m.Instance, Msg: m})
-		return
-	}
-	g.recvs.Add(1)
-	select {
-	case n.mail <- struct{}{}:
-	default: // a wakeup is already pending
-	}
-}
+// Mux hosts many clusters over one set of UDP sockets; Attach installs
+// each as a wire v3 group.
+type Mux = engine.Mux
 
-// actLoop delivers mailbox batches as soon as the receive loop signals
-// them and runs every group's internal actions at the step interval. The
-// tick timer is a fallback sweep and the batching deadline.
-func (n *Node) actLoop() {
-	defer n.wg.Done()
-	stepTimer := time.NewTicker(n.stepInterval)
-	defer stepTimer.Stop()
-	sweep := time.NewTicker(n.tick)
-	defer sweep.Stop()
-	for {
-		select {
-		case <-n.stop:
-			return
-		case <-n.mail:
-			n.drainMail()
-		case <-sweep.C:
-			n.drainMail()
-			// Deadline flush: a Send whose section somehow did not flush
-			// (or a threshold edge) never waits longer than one tick.
-			n.mu.Lock()
-			n.flushAll()
-			n.mu.Unlock()
-		case <-stepTimer.C:
-			gs := n.groups.Load()
-			n.mu.Lock()
-			for _, g := range gs.list {
-				if g.down(n.self) {
-					continue // crash window: no internal actions until restart
-				}
-				ev := env{n: n, g: g}
-				for _, m := range g.stack {
-					m.Step(ev)
-				}
-			}
-			n.flushAll()
-			n.mu.Unlock()
-		}
-	}
-}
-
-// drainMail swaps the filled mailbox buffer out (one pointer swap under
-// the mailbox lock, batching the handoff) and delivers its contents
-// under the action mutex, routing each mailbox to its group. Mail for a
-// group inside a crash window stays in transit: it is re-boxed untouched
-// and the sweep retries after the window (re-boxed mail that no longer
-// fits is dropped and counted, the lose-on-full rule again).
-func (n *Node) drainMail() {
-	gs := n.groups.Load()
-	if len(gs.list) == 1 && gs.list[0].down(n.self) {
-		// Sole group crashed: leave everything boxed without swapping.
-		return
-	}
-	n.mbMu.Lock()
-	if n.boxed == 0 {
-		n.mbMu.Unlock()
-		return
-	}
-	batch := n.mailboxes
-	n.mailboxes, n.spare = n.spare, n.mailboxes
-	n.boxed = 0
-	n.mbMu.Unlock()
-
-	type heldBox struct {
-		key  mailKey
-		msgs []core.Message
-	}
-	var held []heldBox
-	n.mu.Lock()
-	for key, box := range batch {
-		if len(box) == 0 {
-			continue
-		}
-		g := gs.byID[key.gid]
-		if g == nil {
-			// Group detached: its in-transit mail evaporates.
-			batch[key] = box[:0]
-			continue
-		}
-		if g.down(n.self) {
-			held = append(held, heldBox{key: key, msgs: append([]core.Message(nil), box...)})
-			batch[key] = box[:0]
-			continue
-		}
-		if mach, ok := g.routes[key.instance]; ok {
-			ev := env{n: n, g: g}
-			for _, m := range box {
-				g.emit(core.Event{Kind: core.EvDeliver, Proc: n.self, Peer: key.from, Instance: key.instance, Msg: m})
-				mach.Deliver(ev, key.from, m)
-			}
-		}
-		// A message addressed to an unknown instance is consumed with no
-		// effect, like a receive action with a false guard.
-		batch[key] = box[:0]
-	}
-	n.flushAll()
-	n.mu.Unlock()
-
-	if len(held) > 0 {
-		n.mbMu.Lock()
-		for _, h := range held {
-			b := n.mailboxes[h.key]
-			for _, m := range h.msgs {
-				if len(b) >= n.mailboxSlots {
-					if g := gs.byID[h.key.gid]; g != nil {
-						g.mailboxDrops.Add(1)
-					}
-					continue
-				}
-				b = append(b, m)
-				n.boxed++
-			}
-			n.mailboxes[h.key] = b
-		}
-		n.mbMu.Unlock()
-	}
-}
-
-// Do runs f under the node's action mutex with its default group's
-// environment, then flushes any sends f made.
-func (n *Node) Do(f func(env core.Env)) {
-	if n.g0 == nil {
-		panic("udp: Do on a node with no default group")
-	}
-	n.doGroup(n.g0, f)
-}
-
-func (n *Node) doGroup(g *group, f func(env core.Env)) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	f(env{n: n, g: g})
-	n.flushAll()
-}
-
-// Stop terminates the loops and closes the socket. It is idempotent and
-// safe to call from multiple goroutines concurrently.
-func (n *Node) Stop() {
-	n.stopOnce.Do(func() {
-		close(n.stop)
-		n.wg.Wait()
-		n.conn.Close()
-	})
+// NewMux binds one loopback socket per process and starts the shared
+// loops with no groups attached. Options must be node-level (WithBatch);
+// per-cluster options (topology, faults, observers) belong to Attach.
+// The caller owns the mux and must Close it to release the sockets.
+func NewMux(nProcs int, opts ...Option) (*Mux, error) {
+	return engine.NewMux("udp", nProcs, bind(nProcs, opts))
 }

@@ -10,6 +10,8 @@ import (
 	"github.com/snapstab/snapstab/internal/idl"
 	"github.com/snapstab/snapstab/internal/pif"
 	"github.com/snapstab/snapstab/internal/rng"
+	"github.com/snapstab/snapstab/internal/transport/engine"
+	"github.com/snapstab/snapstab/internal/wire"
 )
 
 // cluster spins up n nodes on loopback with OS-assigned ports. Each
@@ -39,7 +41,7 @@ func cluster(t *testing.T, n int, mk func(self core.ProcID) core.Stack) []*Node 
 			if err != nil {
 				t.Fatalf("parse %q: %v", a, err)
 			}
-			node.peers[j] = peer
+			node.SetPeer(core.ProcID(j), peer)
 		}
 	}
 	for _, node := range nodes {
@@ -172,40 +174,53 @@ func TestIDLOverUDP(t *testing.T) {
 func TestMailboxBoundsBacklog(t *testing.T) {
 	// Not parallel: concurrent clusters share the loopback path and
 	// the timer wheel; interference slows the handshakes by >20x.
-	// A node that is never activated accumulates at most mailboxSlots
-	// messages per (sender, instance).
-	const n = 2
-	machines := make([]*pif.PIF, n)
-	nodes := cluster(t, n, func(self core.ProcID) core.Stack {
-		m := pif.New("pif", self, n, pif.Callbacks{}, pif.WithCapacityBound(DefaultAssumedCapacity))
-		machines[self] = m
-		return core.Stack{m}
-	})
-	// Freeze node 1's activation loop by holding its mutex while node 0
-	// floods it.
+	// A node whose activation loop is frozen holds at most one swapped-out
+	// batch plus one full mailbox per (sender, instance); everything
+	// beyond is dropped on arrival.
+	const slots = 4
+	mk := func(self core.ProcID) core.Stack {
+		return core.Stack{pif.New("pif", self, 2, pif.Callbacks{}, pif.WithCapacityBound(DefaultAssumedCapacity))}
+	}
+	recv, err := NewNode(1, mk(1), "127.0.0.1:0", make([]string, 2), withMailbox(slots))
+	if err != nil {
+		t.Fatal(err)
+	}
+	send, err := NewNode(0, mk(0), "127.0.0.1:0", make([]string, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	send.SetPeer(1, mustUDPAddr(t, recv.Addr()))
+	recv.SetPeer(0, mustUDPAddr(t, send.Addr()))
+	recv.Start() // the sender's loops stay off: Do drives its socket directly
+	t.Cleanup(func() { recv.Stop(); send.Stop() })
+
+	// Freeze the receiver's activation loop by holding its action mutex
+	// while the sender floods it.
 	release := make(chan struct{})
 	frozen := make(chan struct{})
 	go func() {
-		nodes[1].Do(func(core.Env) {
+		recv.Do(func(core.Env) {
 			close(frozen)
 			<-release
 		})
 	}()
 	<-frozen
-	nodes[0].Do(func(env core.Env) {
-		for i := 0; i < 100; i++ {
+	defer close(release)
+	const flood = 100
+	send.Do(func(env core.Env) {
+		for i := 0; i < flood; i++ {
 			env.Send(1, core.Message{Instance: "pif", Kind: pif.Kind})
 		}
 	})
-	time.Sleep(300 * time.Millisecond) // let the receive loop drain the socket
-	close(release)
-	nodes[1].Do(func(core.Env) {}) // synchronize
-	nodes[1].mbMu.Lock()
-	box := nodes[1].mailboxes[mailKey{from: 0, instance: "pif"}]
-	over := len(box) > nodes[1].mailboxSlots
-	nodes[1].mbMu.Unlock()
-	if over {
-		t.Fatalf("mailbox holds %d messages, above the bound", len(box))
+	if !waitFor(t, 5*time.Second, func() bool {
+		s := recv.Stats()
+		return s.Recvs+s.MailboxDrops == flood
+	}) {
+		s := recv.Stats()
+		t.Fatalf("%d of %d messages arrived (Recvs %d, MailboxDrops %d)", s.Recvs+s.MailboxDrops, flood, s.Recvs, s.MailboxDrops)
+	}
+	if s := recv.Stats(); s.Recvs > 2*slots {
+		t.Fatalf("frozen receiver boxed %d messages, above the bound %d", s.Recvs, 2*slots)
 	}
 }
 
@@ -265,7 +280,7 @@ func TestStatsCountMailboxDrops(t *testing.T) {
 	}
 	var losses, sendLost atomic.Int64
 	recv, err := NewNode(1, mk(1), "127.0.0.1:0", make([]string, 2),
-		WithMailbox(1), WithObserver(core.ObserverFunc(func(e core.Event) {
+		withMailbox(1), WithObserver(core.ObserverFunc(func(e core.Event) {
 			switch e.Kind {
 			case core.EvLose:
 				losses.Add(1)
@@ -322,13 +337,43 @@ func TestStatsCountMailboxDrops(t *testing.T) {
 	}
 }
 
-func TestNodeValidation(t *testing.T) {
-	t.Parallel()
-	stack := core.Stack{pif.New("pif", 0, 2, pif.Callbacks{})}
-	if _, err := NewNode(5, stack, "127.0.0.1:0", []string{"a", "b"}); err == nil {
-		t.Fatal("out-of-range self accepted")
+// withMailbox overrides the per-(group, sender, instance) mailbox size.
+func withMailbox(slots int) Option {
+	return func(o *engine.Options) { o.Mailbox = slots }
+}
+
+// TestGarbageFromKnownPeerIsQuarantined fires truncated frames, a frame
+// for a group this node does not host, and raw noise from a known peer's
+// address: none may surface, and a valid frame sent after them still
+// arrives alone.
+func TestGarbageFromKnownPeerIsQuarantined(t *testing.T) {
+	// Not parallel: shares the loopback path with the cluster tests.
+	node, rec, raw := rawPeer(t)
+	valid, err := wire.AppendBatch(nil, 0, []core.Message{{Instance: "rec", Kind: "K", B: core.Payload{Num: 1}}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewNode(0, stack, "127.0.0.1:0", []string{"", "not-an-addr:xx"}); err == nil {
-		t.Fatal("bad peer address accepted")
+	truncated := valid[:len(valid)-1]
+	stray, err := wire.AppendBatch(nil, 9999, []core.Message{{Instance: "rec", Kind: "K"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := mustUDPAddr(t, node.Addr())
+	for i := 0; i < 20; i++ {
+		for _, d := range [][]byte{truncated, stray, {0x53, 0x4e, 3, 0xFF}, {1, 2, 3}} {
+			if _, err := raw.WriteToUDP(d, target); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := raw.WriteToUDP(valid, target); err != nil {
+		t.Fatal(err)
+	}
+	if !waitFor(t, 5*time.Second, func() bool { return len(rec.snapshot()) > 0 }) {
+		t.Fatal("the valid frame after the garbage was not delivered")
+	}
+	time.Sleep(20 * time.Millisecond) // let any straggler surface
+	if got := rec.snapshot(); len(got) != 1 || got[0].B.Num != 1 {
+		t.Fatalf("delivered %v, want only the valid message", got)
 	}
 }

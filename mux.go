@@ -1,9 +1,8 @@
 package snapstab
 
 import (
-	"fmt"
-
 	"github.com/snapstab/snapstab/internal/core"
+	"github.com/snapstab/snapstab/internal/transport/engine"
 	tcp "github.com/snapstab/snapstab/internal/transport/tcp"
 	udp "github.com/snapstab/snapstab/internal/transport/udp"
 )
@@ -27,8 +26,9 @@ import (
 // to release the sockets (which also tears down any still-attached
 // clusters).
 type Mux struct {
-	udp *udp.Mux
-	tcp *tcp.Mux
+	m       *engine.Mux
+	name    string
+	assumed int // the transport's assumed capacity bound
 }
 
 // UDPMux binds one loopback datagram socket per process and returns a
@@ -39,16 +39,11 @@ type Mux struct {
 // the cluster constructors instead. Socket binding failures are
 // returned, not panicked: the mux is built before any cluster exists.
 func UDPMux(nProcs int, opts ...Option) (*Mux, error) {
-	o := buildOptions(opts)
-	var uopts []udp.Option
-	if o.batch > 0 {
-		uopts = append(uopts, udp.WithBatch(o.batch))
-	}
-	m, err := udp.NewMux(nProcs, uopts...)
+	m, err := udp.NewMux(nProcs, muxOptions(opts)...)
 	if err != nil {
 		return nil, err
 	}
-	return &Mux{udp: m}, nil
+	return &Mux{m: m, name: "udp-mux", assumed: udp.DefaultAssumedCapacity}, nil
 }
 
 // TCPMux binds one loopback listener per process, dials the full
@@ -57,33 +52,26 @@ func UDPMux(nProcs int, opts ...Option) (*Mux, error) {
 // bounds the frames per vectored write on the shared connections;
 // per-cluster options belong to the cluster constructors.
 func TCPMux(nProcs int, opts ...Option) (*Mux, error) {
-	o := buildOptions(opts)
-	var topts []tcp.Option
-	if o.batch > 0 {
-		topts = append(topts, tcp.WithBatch(o.batch))
-	}
-	m, err := tcp.NewMux(nProcs, topts...)
+	m, err := tcp.NewMux(nProcs, muxOptions(opts)...)
 	if err != nil {
 		return nil, err
 	}
-	return &Mux{tcp: m}, nil
+	return &Mux{m: m, name: "tcp-mux", assumed: tcp.DefaultAssumedCapacity}, nil
+}
+
+// muxOptions keeps the one socket-level cluster option, WithBatch.
+func muxOptions(opts []Option) []engine.Option {
+	if o := buildOptions(opts); o.batch > 0 {
+		return []engine.Option{engine.WithBatch(o.batch)}
+	}
+	return nil
 }
 
 // N returns the process count every attached cluster must match.
-func (m *Mux) N() int {
-	if m.udp != nil {
-		return m.udp.N()
-	}
-	return m.tcp.N()
-}
+func (m *Mux) N() int { return m.m.N() }
 
 // Addrs returns every node's bound local address.
-func (m *Mux) Addrs() []string {
-	if m.udp != nil {
-		return m.udp.Addrs()
-	}
-	return m.tcp.Addrs()
-}
+func (m *Mux) Addrs() []string { return m.m.Addrs() }
 
 // Substrate returns the substrate specification that attaches a cluster
 // to this mux. Each cluster constructed with it becomes a fresh group on
@@ -93,53 +81,16 @@ func (m *Mux) Addrs() []string {
 // UDP()/TCP() substrates; WithBatch does not (the batch ceiling was
 // fixed when the mux was built) and is ignored.
 func (m *Mux) Substrate() Substrate {
-	if m.udp != nil {
-		return Substrate{
-			name: "udp-mux",
-			capacity: func(o options) int {
-				if o.capacity > udp.DefaultAssumedCapacity {
-					return o.capacity
-				}
-				return udp.DefaultAssumedCapacity
-			},
-			build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
-				if len(stacks) != m.udp.N() {
-					return nil, fmt.Errorf("snapstab: %d-process cluster on a %d-process mux", len(stacks), m.udp.N())
-				}
-				uopts := make([]udp.Option, 0, len(obs)+2)
-				for _, ob := range obs {
-					uopts = append(uopts, udp.WithObserver(ob))
-				}
-				if o.topology != nil {
-					uopts = append(uopts, udp.WithTopology(o.topology))
-				}
-				if o.faults != nil {
-					uopts = append(uopts, udp.WithFaults(o.faults))
-				}
-				return m.udp.Attach(stacks, uopts...)
-			},
-		}
-	}
 	return Substrate{
-		name:     "tcp-mux",
-		capacity: tcpCapacity,
+		name:     m.name,
+		capacity: socketCapacity(m.assumed),
 		build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
-			if len(stacks) != m.tcp.N() {
-				return nil, fmt.Errorf("snapstab: %d-process cluster on a %d-process mux", len(stacks), m.tcp.N())
-			}
-			// The batch bound is a socket-level knob fixed at TCPMux; a
-			// cluster-level WithBatch is ignored, as documented.
-			o.batch = 0
-			return m.tcp.Attach(stacks, tcpOptions(o, obs)...)
+			o.batch = 0 // socket-level, fixed when the mux was built
+			return m.m.Attach(stacks, transportOptions(o, obs)...)
 		},
 	}
 }
 
 // Close releases the shared sockets, tearing down every still-attached
 // cluster. Idempotent.
-func (m *Mux) Close() error {
-	if m.udp != nil {
-		return m.udp.Close()
-	}
-	return m.tcp.Close()
-}
+func (m *Mux) Close() error { return m.m.Close() }

@@ -5,6 +5,7 @@ import (
 	"github.com/snapstab/snapstab/internal/pif"
 	"github.com/snapstab/snapstab/internal/runtime"
 	"github.com/snapstab/snapstab/internal/sim"
+	"github.com/snapstab/snapstab/internal/transport/engine"
 	tcp "github.com/snapstab/snapstab/internal/transport/tcp"
 	udp "github.com/snapstab/snapstab/internal/transport/udp"
 )
@@ -116,57 +117,36 @@ func Runtime() Substrate {
 // and panics on failure.
 func UDP() Substrate {
 	return Substrate{
-		name: "udp",
-		capacity: func(o options) int {
-			if o.capacity > udp.DefaultAssumedCapacity {
-				return o.capacity
-			}
-			return udp.DefaultAssumedCapacity
-		},
+		name:     "udp",
+		capacity: socketCapacity(udp.DefaultAssumedCapacity),
 		build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
-			uopts := make([]udp.Option, 0, len(obs)+2)
-			for _, ob := range obs {
-				uopts = append(uopts, udp.WithObserver(ob))
-			}
-			if o.batch > 0 {
-				uopts = append(uopts, udp.WithBatch(o.batch))
-			}
-			if o.topology != nil {
-				uopts = append(uopts, udp.WithTopology(o.topology))
-			}
-			if o.faults != nil {
-				uopts = append(uopts, udp.WithFaults(o.faults))
-			}
-			return udp.NewCluster(stacks, uopts...)
+			return udp.NewCluster(stacks, transportOptions(o, obs)...)
 		},
 	}
 }
 
-// tcpOptions assembles the transport options shared by TCP and TCPHost.
-func tcpOptions(o options, obs []core.Observer, extra ...tcp.Option) []tcp.Option {
-	topts := append([]tcp.Option(nil), extra...)
+// transportOptions assembles the options of the socket substrates.
+func transportOptions(o options, obs []core.Observer) []engine.Option {
+	opts := make([]engine.Option, 0, len(obs)+3)
 	for _, ob := range obs {
-		topts = append(topts, tcp.WithObserver(ob))
+		opts = append(opts, engine.WithObserver(ob))
 	}
 	if o.batch > 0 {
-		topts = append(topts, tcp.WithBatch(o.batch))
+		opts = append(opts, engine.WithBatch(o.batch))
 	}
 	if o.topology != nil {
-		topts = append(topts, tcp.WithTopology(o.topology))
+		opts = append(opts, engine.WithTopology(o.topology))
 	}
 	if o.faults != nil {
-		topts = append(topts, tcp.WithFaults(o.faults))
+		opts = append(opts, engine.WithFaults(o.faults))
 	}
-	return topts
+	return opts
 }
 
-// tcpCapacity is the machine capacity bound for the TCP substrates: the
-// transport's conservative assumed bound, or WithCapacity if larger.
-func tcpCapacity(o options) int {
-	if o.capacity > tcp.DefaultAssumedCapacity {
-		return o.capacity
-	}
-	return tcp.DefaultAssumedCapacity
+// socketCapacity is the machine capacity bound on a socket substrate:
+// the transport's conservative assumed bound, or WithCapacity if larger.
+func socketCapacity(assumed int) func(options) int {
+	return func(o options) int { return max(o.capacity, assumed) }
 }
 
 // TCP selects the loopback stream transport: one listener per process,
@@ -182,9 +162,9 @@ func tcpCapacity(o options) int {
 func TCP() Substrate {
 	return Substrate{
 		name:     "tcp",
-		capacity: tcpCapacity,
+		capacity: socketCapacity(tcp.DefaultAssumedCapacity),
 		build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
-			return tcp.NewCluster(stacks, tcpOptions(o, obs)...)
+			return tcp.NewCluster(stacks, transportOptions(o, obs)...)
 		},
 	}
 }
@@ -214,14 +194,14 @@ type TCPFleet struct {
 func TCPHost(f TCPFleet) Substrate {
 	return Substrate{
 		name:     "tcp-host",
-		capacity: tcpCapacity,
+		capacity: socketCapacity(tcp.DefaultAssumedCapacity),
 		build: func(o options, stacks []core.Stack, obs []core.Observer) (core.Substrate, error) {
 			cfg := tcp.HostConfig{
 				Self:   core.ProcID(f.Self),
 				Listen: f.Listen,
 				Peers:  f.Peers,
 			}
-			return tcp.NewHost(cfg, stacks, tcpOptions(o, obs)...)
+			return tcp.NewHost(cfg, stacks, transportOptions(o, obs)...)
 		},
 	}
 }
